@@ -7,7 +7,7 @@
 //! Query 3 plus the secondary index's size.
 
 use upi::{DiscreteUpi, UpiConfig};
-use upi_bench::{banner, dblp_config, fresh_store, header, measure_cold, ms, summary};
+use upi_bench::{banner, dblp_config, drain, fresh_store, header, measure_cold, ms, summary};
 use upi_workloads::dblp::{self, publication_fields};
 
 fn main() {
@@ -45,10 +45,10 @@ fn main() {
         upi.add_secondary(publication_fields::COUNTRY).unwrap();
         upi.bulk_load(&data.publications).unwrap();
         let tailored = measure_cold(&store, || {
-            upi.ptq_secondary(0, japan, 0.2, true).unwrap().len()
+            drain(upi.secondary_run(0, japan, 0.2, true, None))
         });
         let plain = measure_cold(&store, || {
-            upi.ptq_secondary(0, japan, 0.2, false).unwrap().len()
+            drain(upi.secondary_run(0, japan, 0.2, false, None))
         });
         let size = upi.secondaries()[0].bytes();
         if cap == 1 {

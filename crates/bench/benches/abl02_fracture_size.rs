@@ -8,7 +8,7 @@
 //! RAM but keep queries fast.
 
 use upi::{FracturedConfig, FracturedUpi, UpiConfig};
-use upi_bench::{banner, dblp_config, fresh_store, header, measure_cold, ms, summary};
+use upi_bench::{banner, dblp_config, drain, fresh_store, header, measure_cold, ms, summary};
 use upi_workloads::dblp::{self, author_fields};
 
 fn main() {
@@ -51,7 +51,7 @@ fn main() {
             f.flush().unwrap();
             stream.len()
         });
-        let q = measure_cold(&store, || f.ptq(key, 0.1).unwrap().len());
+        let q = measure_cold(&store, || drain(f.ptq_run(key, 0.1, None)));
         println!(
             "{buffer_ops}\t{}\t{}\t{}\t{}",
             f.n_fractures(),

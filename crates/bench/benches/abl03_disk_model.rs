@@ -2,7 +2,7 @@
 //! model.
 //!
 //! The reproduction's central substitution is the simulated disk
-//! (`DESIGN.md`). This ablation re-runs Query 1 (PII vs UPI) under
+//! (`upi_storage::SimDisk` under a `DiskConfig`). This ablation re-runs Query 1 (PII vs UPI) under
 //! different seek-floor assumptions — from an SSD-like device (no
 //! rotational penalty) to a pessimistic spindle — showing that the paper's
 //! conclusion (the clustered UPI beats the secondary PII) holds across the
@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use upi::{DiscreteUpi, Pii, UnclusteredHeap, UpiConfig};
-use upi_bench::{banner, dblp_config, header, measure_cold, ms, summary, POOL_BYTES};
+use upi_bench::{banner, dblp_config, drain, header, measure_cold, ms, summary, POOL_BYTES};
 use upi_storage::{DiskConfig, SimDisk, Store};
 use upi_workloads::dblp::{self, author_fields};
 
@@ -49,7 +49,7 @@ fn main() {
         upi.bulk_load(&data.authors).unwrap();
 
         let p = measure_cold(&store, || pii.ptq(&heap, key, 0.3).unwrap().len());
-        let u = measure_cold(&store, || upi.ptq(key, 0.3).unwrap().len());
+        let u = measure_cold(&store, || drain(upi.cutoff_merge(key, 0.3)));
         assert_eq!(p.rows, u.rows);
         let speedup = p.sim_ms / u.sim_ms;
         speedups.push(speedup);

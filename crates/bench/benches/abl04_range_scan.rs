@@ -10,7 +10,7 @@
 //! per-alternative pruning applies).
 
 use upi_bench::setups::author_setup_with;
-use upi_bench::{banner, header, measure_cold, ms, summary};
+use upi_bench::{banner, drain, header, measure_cold, ms, summary};
 
 fn main() {
     let s = author_setup_with(0.1, Some(256));
@@ -25,7 +25,7 @@ fn main() {
         let pii = measure_cold(&s.store, || {
             s.pii.ptq_range(&s.heap, 0, width, 0.3).unwrap().len()
         });
-        let upi = measure_cold(&s.store, || s.upi.ptq_range(0, width, 0.3).unwrap().len());
+        let upi = measure_cold(&s.store, || drain(s.upi.range_run(0, width, 0.3)));
         assert_eq!(pii.rows, upi.rows, "range paths disagree at width {width}");
         let speedup = pii.sim_ms / upi.sim_ms;
         speedups.push(speedup);

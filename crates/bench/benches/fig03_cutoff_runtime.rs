@@ -11,7 +11,7 @@
 //! saturation because the (smaller) heap scans cheaper.
 
 use upi_bench::setups::author_setup_with;
-use upi_bench::{banner, header, measure_cold, ms, summary};
+use upi_bench::{banner, drain, header, measure_cold, ms, summary};
 
 const QTS: [f64; 3] = [0.05, 0.15, 0.25];
 const CS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
@@ -43,7 +43,7 @@ fn main() {
             };
             let mut cells = Vec::new();
             for &qt in &QTS {
-                let m = measure_cold(&s.store, || s.upi.ptq(key, qt).unwrap().len());
+                let m = measure_cold(&s.store, || drain(s.upi.cutoff_merge(key, qt)));
                 if qt == QTS[0] {
                     rows_at_005 = m.rows;
                     if !selective && c >= 0.4 {

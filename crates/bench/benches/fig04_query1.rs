@@ -8,7 +8,7 @@
 //! bitmap-style heap fetch per qualifying tuple.
 
 use upi_bench::setups::author_setup;
-use upi_bench::{banner, header, measure_cold, ms, summary};
+use upi_bench::{banner, drain, header, measure_cold, ms, summary};
 
 fn main() {
     let s = author_setup(0.1);
@@ -23,7 +23,7 @@ fn main() {
     for qt10 in 1..=9 {
         let qt = qt10 as f64 / 10.0;
         let pii = measure_cold(&s.store, || s.pii.ptq(&s.heap, mit, qt).unwrap().len());
-        let upi = measure_cold(&s.store, || s.upi.ptq(mit, qt).unwrap().len());
+        let upi = measure_cold(&s.store, || drain(s.upi.cutoff_merge(mit, qt)));
         assert_eq!(pii.rows, upi.rows, "indexes disagree at QT={qt}");
         let speedup = pii.sim_ms / upi.sim_ms;
         speedups.push(speedup);

@@ -9,7 +9,7 @@
 
 use upi::exec::group_count;
 use upi_bench::setups::publication_setup;
-use upi_bench::{banner, header, measure_cold, ms, summary};
+use upi_bench::{banner, collect, header, measure_cold, ms, summary};
 use upi_workloads::dblp::publication_fields;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
                 .len()
         });
         let upi = measure_cold(&s.store, || {
-            let rows = s.upi.ptq(mit, qt).unwrap();
+            let rows = collect(s.upi.cutoff_merge(mit, qt));
             group_count(&rows, publication_fields::JOURNAL)
                 .unwrap()
                 .len()

@@ -14,7 +14,7 @@
 
 use upi::exec::group_count;
 use upi_bench::setups::publication_setup;
-use upi_bench::{banner, header, measure_cold, ms, summary};
+use upi_bench::{banner, collect, header, measure_cold, ms, summary};
 use upi_workloads::dblp::publication_fields;
 
 fn main() {
@@ -43,13 +43,13 @@ fn main() {
                 .len()
         });
         let plain = measure_cold(&s.store, || {
-            let rows = s.upi.ptq_secondary(0, japan, qt, false).unwrap();
+            let rows = collect(s.upi.secondary_run(0, japan, qt, false, None));
             group_count(&rows, publication_fields::JOURNAL)
                 .unwrap()
                 .len()
         });
         let tailored = measure_cold(&s.store, || {
-            let rows = s.upi.ptq_secondary(0, japan, qt, true).unwrap();
+            let rows = collect(s.upi.secondary_run(0, japan, qt, true, None));
             group_count(&rows, publication_fields::JOURNAL)
                 .unwrap()
                 .len()

@@ -11,7 +11,7 @@
 
 use upi::{DiscreteUpi, FracturedConfig, FracturedUpi, Pii, UnclusteredHeap, UpiConfig};
 use upi_bench::setups::author_setup;
-use upi_bench::{banner, fresh_store, header, measure_cold, ms, summary};
+use upi_bench::{banner, drain, fresh_store, header, measure_cold, ms, summary};
 use upi_uncertain::Tuple;
 use upi_workloads::dblp::author_fields;
 
@@ -105,8 +105,8 @@ fn main() {
         }
 
         let a = measure_cold(&store_ab, || pii.ptq(&heap, key, QT).unwrap().len());
-        let b = measure_cold(&store_ab, || upi.ptq(key, QT).unwrap().len());
-        let c = measure_cold(&store_c, || fractured.ptq(key, QT).unwrap().len());
+        let b = measure_cold(&store_ab, || drain(upi.cutoff_merge(key, QT)));
+        let c = measure_cold(&store_c, || drain(fractured.ptq_run(key, QT, None)));
         assert_eq!(a.rows, b.rows);
         assert_eq!(b.rows, c.rows);
         let io = (

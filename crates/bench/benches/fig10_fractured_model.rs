@@ -7,7 +7,7 @@
 
 use upi::cost::estimate_query_fractured_ms;
 use upi_bench::setups::fractured_author_setup;
-use upi_bench::{banner, header, measure_cold, ms, summary};
+use upi_bench::{banner, drain, header, measure_cold, ms, summary};
 
 const BATCHES: usize = 30;
 const MERGE_EVERY: usize = 10;
@@ -42,7 +42,7 @@ fn main() {
             }
             s.fractured.flush().unwrap();
         }
-        let real = measure_cold(&s.store, || s.fractured.ptq(key, QT).unwrap().len());
+        let real = measure_cold(&s.store, || drain(s.fractured.ptq_run(key, QT, None)));
         let est = estimate_query_fractured_ms(s.store.disk.config(), &s.fractured, key, QT);
         ratios.push(est / real.sim_ms);
         println!(
@@ -54,7 +54,7 @@ fn main() {
         );
         if batch > 0 && batch % MERGE_EVERY == 0 {
             s.fractured.merge().unwrap();
-            let restored = measure_cold(&s.store, || s.fractured.ptq(key, QT).unwrap().len());
+            let restored = measure_cold(&s.store, || drain(s.fractured.ptq_run(key, QT, None)));
             println!(
                 "{batch}+merge\t{}\t{}\t{}\t{}",
                 s.fractured.n_fractures(),

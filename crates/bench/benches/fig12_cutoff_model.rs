@@ -7,7 +7,7 @@
 
 use upi::cost::{estimate_cutoff_pointers, estimate_query_cutoff_ms, model_for_upi};
 use upi_bench::setups::{author_setup, author_setup_with};
-use upi_bench::{banner, header, measure_cold, ms, summary};
+use upi_bench::{banner, drain, header, measure_cold, ms, summary};
 
 const QTS: [f64; 3] = [0.05, 0.15, 0.25];
 const CS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
@@ -39,7 +39,7 @@ fn main() {
             let mut cells = Vec::new();
             for &qt in &QTS {
                 let est = estimate_query_cutoff_ms(s.store.disk.config(), &s.upi, key, qt);
-                let real = measure_cold(&s.store, || s.upi.ptq(key, qt).unwrap().len());
+                let real = measure_cold(&s.store, || drain(s.upi.cutoff_merge(key, qt)));
                 ratios.push(est / real.sim_ms);
                 cells.push(format!("{}/{}", ms(est), ms(real.sim_ms)));
             }

@@ -468,17 +468,76 @@ fn write_json(
     eprintln!("[json] wrote {json_path}");
 }
 
+/// Everything the figure blocks accumulate.
+struct Ledger {
+    cold: Vec<CaseRecord>,
+    calibrated: Vec<CaseRecord>,
+    /// One model + sample store per figure setup: each is its own table
+    /// (and its own simulated machine), exactly like one `UncertainDb`
+    /// session calibrating itself.
+    blocks: Vec<(String, CostModel, CalibrationStore)>,
+    /// One registry across the whole bench: every chosen execution and
+    /// every refit pass lands here, snapshotted as BENCH_metrics.json.
+    metrics: MetricsRegistry,
+}
+
+/// One figure setup: every point cold on `catalog` under the
+/// uncalibrated model, recording each forced execution; one refit pass;
+/// then every point again under the refit model. Cold and calibrated
+/// catalogs come from the same `catalog` builder, so they differ only in
+/// the pricing model, never in the execution protocol.
+fn run_block<'a>(
+    name: &str,
+    points: &[(String, PtqQuery)],
+    catalog: impl Fn(CostModel) -> Catalog<'a>,
+    store: &upi_storage::Store,
+    ledger: &mut Ledger,
+) {
+    let mut model = CostModel::from_disk(store.disk.config());
+    let mut cal_store = CalibrationStore::new();
+    let cold = catalog(model);
+    header(&[&format!("{name}(cold)"), "chosen", "chosen_ms", "forced..."]);
+    for (label, q) in points {
+        ledger.cold.push(run_point(
+            label,
+            q,
+            &cold,
+            store,
+            Some(&mut cal_store),
+            COLD_GATE,
+            &mut ledger.metrics,
+        ));
+    }
+    model.refit(&cal_store);
+    record_refit_scales(&mut ledger.metrics, &model);
+    let calibrated = catalog(model);
+    header(&[
+        &format!("{name}(calibrated)"),
+        "chosen",
+        "chosen_ms",
+        "forced...",
+    ]);
+    for (label, q) in points {
+        ledger.calibrated.push(run_point(
+            label,
+            q,
+            &calibrated,
+            store,
+            None,
+            CAL_GATE,
+            &mut ledger.metrics,
+        ));
+    }
+    ledger.blocks.push((name.to_string(), model, cal_store));
+}
+
 fn main() {
-    let disk_cfg = DiskConfig::default();
-    let mut cold_records: Vec<CaseRecord> = Vec::new();
-    let mut cal_records: Vec<CaseRecord> = Vec::new();
-    // One model + sample store per figure setup: each is its own table
-    // (and its own simulated machine), exactly like one `UncertainDb`
-    // session calibrating itself.
-    let mut blocks: Vec<(String, CostModel, CalibrationStore)> = Vec::new();
-    // One registry across the whole bench: every chosen execution and
-    // every refit pass lands here, snapshotted as BENCH_metrics.json.
-    let mut metrics = MetricsRegistry::new();
+    let mut ledger = Ledger {
+        cold: Vec::new(),
+        calibrated: Vec::new(),
+        blocks: Vec::new(),
+        metrics: MetricsRegistry::new(),
+    };
     let hint_record;
     let fractured_hint_record;
 
@@ -488,60 +547,30 @@ fn main() {
         "calibrated chosen within 10% of the best forced path at every point",
     );
 
-    // --- Query 1 (fig04): point PTQ on the clustered attribute ---------
+    // --- Query 1 (fig04): point PTQ on the clustered attribute, above
+    //     and below the cutoff threshold C = 0.1 ------------------------
     {
         let s = author_setup(0.1);
         let mit = s.data.popular_institution();
-        let catalog = Catalog::new(s.store.disk.config())
-            .with_upi(&s.upi)
-            .with_heap(&s.heap)
-            .with_pii(&s.pii)
-            .with_pool(&s.store.pool);
-        let points: Vec<(String, PtqQuery)> = [1, 3, 5, 7, 9]
+        let catalog = |model| {
+            Catalog::new(s.store.disk.config())
+                .with_cost_model(model)
+                .with_upi(&s.upi)
+                .with_heap(&s.heap)
+                .with_pii(&s.pii)
+                .with_pool(&s.store.pool)
+        };
+        let points: Vec<(String, PtqQuery)> = [0.02, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9]
             .iter()
-            .map(|&qt10| {
-                let qt = qt10 as f64 / 10.0;
+            .map(|&qt| {
                 (
-                    format!("q1@{qt:.1}"),
+                    format!("q1@{qt}"),
                     PtqQuery::eq(author_fields::INSTITUTION, mit).with_qt(qt),
                 )
             })
             .collect();
-        let mut model = CostModel::from_disk(&disk_cfg);
-        let mut cal_store = CalibrationStore::new();
-        header(&["query1(cold)", "chosen", "chosen_ms", "forced..."]);
-        for (label, q) in &points {
-            cold_records.push(run_point(
-                label,
-                q,
-                &catalog,
-                &s.store,
-                Some(&mut cal_store),
-                COLD_GATE,
-                &mut metrics,
-            ));
-        }
-        model.refit(&cal_store);
-        record_refit_scales(&mut metrics, &model);
-        let calibrated = Catalog::new(s.store.disk.config())
-            .with_cost_model(model)
-            .with_upi(&s.upi)
-            .with_heap(&s.heap)
-            .with_pii(&s.pii)
-            .with_pool(&s.store.pool);
-        header(&["query1(calibrated)", "chosen", "chosen_ms", "forced..."]);
-        for (label, q) in &points {
-            cal_records.push(run_point(
-                label,
-                q,
-                &calibrated,
-                &s.store,
-                None,
-                CAL_GATE,
-                &mut metrics,
-            ));
-        }
-        blocks.push(("q1".to_string(), model, cal_store));
+        run_block("q1", &points, catalog, &s.store, &mut ledger);
+        let catalog = catalog(CostModel::from_disk(s.store.disk.config()));
 
         // --- Prefetch hint win on the same setup -----------------------
         header(&["hint", "runs", "hinted", "unhinted"]);
@@ -594,6 +623,29 @@ fn main() {
             &frac_catalog,
             &s.store,
         );
+
+        // --- Fractured Query 1 (fig09/fig10 shape) on the same three
+        //     components, below and above C: the unbounded probe runs
+        //     Algorithm 2 per component; the PII and scan over the same
+        //     rows are its forced competitors and its result oracle ---
+        let frac_catalog = |model| {
+            Catalog::new(s.store.disk.config())
+                .with_cost_model(model)
+                .with_fractured(&fractured)
+                .with_heap(&s.heap)
+                .with_pii(&s.pii)
+                .with_pool(&s.store.pool)
+        };
+        let points: Vec<(String, PtqQuery)> = [0.02, 0.05, 0.3]
+            .iter()
+            .map(|&qt| {
+                (
+                    format!("fq1@{qt}"),
+                    PtqQuery::eq(author_fields::INSTITUTION, mit).with_qt(qt),
+                )
+            })
+            .collect();
+        run_block("fq1", &points, frac_catalog, &s.store, &mut ledger);
     }
 
     // --- Queries 2-3 (fig05/fig06): aggregates, primary + secondary ----
@@ -601,11 +653,14 @@ fn main() {
         let s = publication_setup(0.1);
         let mit = s.data.popular_institution();
         let japan = s.data.query_country();
-        let catalog = Catalog::new(s.store.disk.config())
-            .with_upi(&s.upi)
-            .with_heap(&s.heap)
-            .with_pii(&s.pii_inst)
-            .with_pii(&s.pii_country);
+        let catalog = |model| {
+            Catalog::new(s.store.disk.config())
+                .with_cost_model(model)
+                .with_upi(&s.upi)
+                .with_heap(&s.heap)
+                .with_pii(&s.pii_inst)
+                .with_pii(&s.pii_country)
+        };
         let mut points: Vec<(String, PtqQuery)> = Vec::new();
         for qt10 in [1, 5, 9] {
             let qt = qt10 as f64 / 10.0;
@@ -625,43 +680,9 @@ fn main() {
                     .with_group_count(publication_fields::JOURNAL),
             ));
         }
-        let mut model = CostModel::from_disk(&disk_cfg);
-        let mut cal_store = CalibrationStore::new();
-        header(&["query2-3(cold)", "chosen", "chosen_ms", "forced..."]);
-        for (label, q) in &points {
-            cold_records.push(run_point(
-                label,
-                q,
-                &catalog,
-                &s.store,
-                Some(&mut cal_store),
-                COLD_GATE,
-                &mut metrics,
-            ));
-        }
         // One calibration pass over this setup's observations — the pass
         // the q3@0.5 crossover gate below rides on.
-        model.refit(&cal_store);
-        record_refit_scales(&mut metrics, &model);
-        let calibrated = Catalog::new(s.store.disk.config())
-            .with_cost_model(model)
-            .with_upi(&s.upi)
-            .with_heap(&s.heap)
-            .with_pii(&s.pii_inst)
-            .with_pii(&s.pii_country);
-        header(&["query2-3(calibrated)", "chosen", "chosen_ms", "forced..."]);
-        for (label, q) in &points {
-            cal_records.push(run_point(
-                label,
-                q,
-                &calibrated,
-                &s.store,
-                None,
-                CAL_GATE,
-                &mut metrics,
-            ));
-        }
-        blocks.push(("q2-q3".to_string(), model, cal_store));
+        run_block("q2-q3", &points, catalog, &s.store, &mut ledger);
     }
 
     // --- Queries 4-5 (fig07/fig08): continuous circle + segment --------
@@ -669,12 +690,15 @@ fn main() {
         let s = cartel_setup();
         let (qx, qy) = s.data.query_center();
         let seg = s.data.busy_segment();
-        let catalog = Catalog::new(s.store.disk.config())
-            .with_cupi(&s.cupi)
-            .with_cont_secondary(&s.seg_on_cupi)
-            .with_heap(&s.heap)
-            .with_utree(&s.utree)
-            .with_pii(&s.seg_on_heap);
+        let catalog = |model| {
+            Catalog::new(s.store.disk.config())
+                .with_cost_model(model)
+                .with_cupi(&s.cupi)
+                .with_cont_secondary(&s.seg_on_cupi)
+                .with_heap(&s.heap)
+                .with_utree(&s.utree)
+                .with_pii(&s.seg_on_heap)
+        };
         let mut points: Vec<(String, PtqQuery)> = Vec::new();
         for step in [2, 5, 10] {
             let radius = 100.0 * step as f64;
@@ -690,47 +714,15 @@ fn main() {
                 PtqQuery::eq(observation_fields::SEGMENT, seg).with_qt(qt),
             ));
         }
-        let mut model = CostModel::from_disk(&disk_cfg);
-        let mut cal_store = CalibrationStore::new();
-        header(&["query4-5(cold)", "chosen", "chosen_ms", "forced..."]);
-        for (label, q) in &points {
-            cold_records.push(run_point(
-                label,
-                q,
-                &catalog,
-                &s.store,
-                Some(&mut cal_store),
-                COLD_GATE,
-                &mut metrics,
-            ));
-        }
-        model.refit(&cal_store);
-        record_refit_scales(&mut metrics, &model);
-        // Same registration as the cold pass (no pool): cold vs.
-        // calibrated must differ only in the pricing model, never in
-        // the execution protocol.
-        let calibrated = Catalog::new(s.store.disk.config())
-            .with_cost_model(model)
-            .with_cupi(&s.cupi)
-            .with_cont_secondary(&s.seg_on_cupi)
-            .with_heap(&s.heap)
-            .with_utree(&s.utree)
-            .with_pii(&s.seg_on_heap);
-        header(&["query4-5(calibrated)", "chosen", "chosen_ms", "forced..."]);
-        for (label, q) in &points {
-            cal_records.push(run_point(
-                label,
-                q,
-                &calibrated,
-                &s.store,
-                None,
-                CAL_GATE,
-                &mut metrics,
-            ));
-        }
-        blocks.push(("q4-q5".to_string(), model, cal_store));
+        run_block("q4-q5", &points, catalog, &s.store, &mut ledger);
     }
 
+    let Ledger {
+        cold: cold_records,
+        calibrated: cal_records,
+        blocks,
+        metrics,
+    } = ledger;
     let cold_worst = cold_records
         .iter()
         .map(CaseRecord::ratio)

@@ -7,12 +7,13 @@
 //!
 //! * **Point top-k (fig05-style, Query 2 shape)** — `UpiPointMerge`
 //!   streams the heap run in confidence order and stops after k rows;
-//!   the batch path materializes the whole run (plus the cutoff merge)
+//!   the batch arm drains the unbounded Algorithm-2 cursor
+//!   (`DiscreteUpi::cutoff_merge`: whole run plus cutoff merge), sorts
 //!   and truncates.
 //! * **Secondary top-k (fig06-style, Query 3 shape)** — `SecondaryProbe`
 //!   reads only the k most-confident entries of the compact entry run
-//!   and dereferences k heap pointers; the batch path fetches every
-//!   qualifying tuple.
+//!   and dereferences k heap pointers; the batch arm drains the
+//!   unbounded secondary cursor, fetching every qualifying tuple.
 //! * **Range (fig05-style)** — both read the same sequential run (no
 //!   sound early exit under summing semantics); reported for parity and
 //!   to show read-ahead keeping the run sequential.
@@ -23,9 +24,9 @@
 //! the perf-trajectory tooling (override the path with
 //! `UPI_BENCH_JSON`).
 
-use upi::{PtqResult, TableLayout, UpiConfig};
+use upi::{sort_results, PtqResult, TableLayout, UpiConfig};
 use upi_bench::setups::publication_setup;
-use upi_bench::{banner, fresh_store, header, ms, scale, summary};
+use upi_bench::{banner, collect, fresh_store, header, ms, scale, summary};
 use upi_query::{AccessPath, Catalog, PhysicalPlan, PtqQuery, UncertainDb};
 use upi_storage::{PoolCounters, Store};
 use upi_workloads::dblp::{publication_fields, DblpData};
@@ -162,7 +163,8 @@ fn main() {
         );
         let streaming = measure_pool(&s.store, || plan.execute(&catalog).unwrap().rows);
         let batch = measure_pool(&s.store, || {
-            let mut rows = s.upi.ptq(mit, 0.1).unwrap();
+            let mut rows = collect(s.upi.cutoff_merge(mit, 0.1));
+            sort_results(&mut rows);
             rows.truncate(k);
             rows
         });
@@ -198,7 +200,8 @@ fn main() {
         );
         let streaming = measure_pool(&s.store, || plan.execute(&catalog).unwrap().rows);
         let batch = measure_pool(&s.store, || {
-            let mut rows = s.upi.ptq_secondary(0, japan, 0.1, true).unwrap();
+            let mut rows = collect(s.upi.secondary_run(0, japan, 0.1, true, None));
+            sort_results(&mut rows);
             rows.truncate(k);
             rows
         });
@@ -226,7 +229,11 @@ fn main() {
         let q = PtqQuery::range(publication_fields::INSTITUTION, mit, hi).with_qt(0.2);
         let plan = forced(&q.plan(&catalog).unwrap(), &AccessPath::UpiRange);
         let streaming = measure_pool(&s.store, || plan.execute(&catalog).unwrap().rows);
-        let batch = measure_pool(&s.store, || s.upi.ptq_range(mit, hi, 0.2).unwrap());
+        let batch = measure_pool(&s.store, || {
+            let mut rows = collect(s.upi.range_run(mit, hi, 0.2));
+            sort_results(&mut rows);
+            rows
+        });
         assert_same_rows("range", &streaming.rows, &batch.rows);
         cases.push(Case {
             name: "range",

@@ -3,9 +3,10 @@
 //! Every `benches/figNN_*.rs` / `benches/tabNN_*.rs` target is a
 //! `harness = false` binary that prints the corresponding figure's series
 //! (parameter column + one column per curve) in TSV form, plus a shape
-//! summary. Reported runtimes are **simulated disk milliseconds** (see
-//! `DESIGN.md`): deterministic, host-independent, and faithful to the
-//! paper's disk-bound setting.
+//! summary. Reported runtimes are **simulated disk milliseconds** (the
+//! `upi_storage::SimDisk` clock under Table 6's parameters):
+//! deterministic, host-independent, and faithful to the paper's
+//! disk-bound setting.
 //!
 //! Scale: the environment variable `UPI_BENCH_SCALE` (float, default 1.0)
 //! multiplies dataset sizes, e.g. `UPI_BENCH_SCALE=0.25 cargo bench` for a
@@ -88,12 +89,30 @@ pub fn measure_cold<F: FnMut() -> usize>(store: &Store, mut f: F) -> Measured {
     }
 }
 
+/// Drain a core streaming cursor, returning its row count (an I/O error
+/// aborts the bench).
+pub fn drain<T, E: std::fmt::Debug>(
+    cursor: Result<impl Iterator<Item = Result<T, E>>, E>,
+) -> usize {
+    cursor
+        .unwrap()
+        .try_fold(0, |n, r| r.map(|_| n + 1))
+        .unwrap()
+}
+
+/// Drain a core streaming cursor into its rows, in cursor order.
+pub fn collect<T, E: std::fmt::Debug>(
+    cursor: Result<impl Iterator<Item = Result<T, E>>, E>,
+) -> Vec<T> {
+    cursor.unwrap().collect::<Result<_, _>>().unwrap()
+}
+
 /// Print a figure/table banner.
 pub fn banner(id: &str, title: &str, paper_shape: &str) {
     println!();
     println!("# {id} — {title}");
     println!("# paper shape: {paper_shape}");
-    println!("# runtimes are simulated disk milliseconds (see DESIGN.md)");
+    println!("# runtimes are simulated disk milliseconds (SimDisk, Table 6 parameters)");
 }
 
 /// Print a TSV header row.
@@ -112,7 +131,8 @@ pub fn ms(v: f64) -> String {
     }
 }
 
-/// Print a `key: value` shape-summary line (picked up by EXPERIMENTS.md).
+/// Print a `## key: value` shape-summary line (the grep-able claim each
+/// bench checks, e.g. `fig4.upi_always_faster: true`).
 pub fn summary(key: &str, value: impl std::fmt::Display) {
     println!("## {key}: {value}");
 }

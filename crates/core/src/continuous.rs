@@ -30,7 +30,7 @@ use upi_storage::{FileId, PageId, Store};
 use upi_uncertain::tuple::{decode_tuple, encode_tuple};
 use upi_uncertain::{AttrStats, ConstrainedGaussian, Tuple, TupleId};
 
-use crate::exec::PtqResult;
+use crate::exec::{sort_results, PtqResult};
 use crate::heap::UnclusteredHeap;
 use crate::keys;
 
@@ -320,12 +320,7 @@ impl ContinuousUpi {
                 }
             }
         }
-        out.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
+        sort_results(&mut out);
         Ok(out)
     }
 
@@ -445,12 +440,7 @@ impl SecondaryUTree {
                 }
             }
         }
-        out.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
+        sort_results(&mut out);
         Ok(out)
     }
 
@@ -569,12 +559,7 @@ impl ContinuousSecondary {
                 }
             }
         }
-        out.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
+        sort_results(&mut out);
         Ok(out)
     }
 

@@ -75,39 +75,7 @@ impl CutoffIndex {
     /// All pointers for `value` with probability `≥ qt`, in descending
     /// probability order (the cutoff half of Algorithm 2).
     pub fn scan(&self, value: u64, qt: f64) -> Result<Vec<CutoffPointer>> {
-        self.scan_limit(value, qt, None)
-    }
-
-    /// Like [`scan`](Self::scan) but stopping after `limit` pointers —
-    /// top-k queries terminate the scan early (§3.1: "a top-k query can
-    /// terminate scanning the index when the top-k results are
-    /// identified").
-    pub fn scan_limit(
-        &self,
-        value: u64,
-        qt: f64,
-        limit: Option<usize>,
-    ) -> Result<Vec<CutoffPointer>> {
-        let mut out = Vec::new();
-        let mut cur = self.tree.seek(&keys::value_prefix(value))?;
-        while cur.valid() {
-            let (v, prob, tid) = keys::decode_entry_key(cur.key());
-            if v != value || prob < qt {
-                break;
-            }
-            let (first_value, first_prob) = keys::decode_pointer(cur.value());
-            out.push(CutoffPointer {
-                tid,
-                prob,
-                first_value,
-                first_prob,
-            });
-            if limit.is_some_and(|k| out.len() >= k) {
-                break;
-            }
-            cur.advance()?;
-        }
-        Ok(out)
+        self.scan_value_run(value, qt)?.collect()
     }
 
     /// Streaming cursor over the pointers for `value` with probability

@@ -1,14 +1,11 @@
-//! Query results and executor helpers (aggregates, top-k).
+//! Query results and executor helpers (result order, aggregates).
 //!
-//! These are the original ad-hoc helpers of the repository; the cost-based
-//! planner and streaming operator tree live in the `upi-query` crate, which
-//! re-exports these names for compatibility. New code should prefer
-//! `upi_query::PtqQuery`.
+//! The cost-based planner and streaming operator tree live in the
+//! `upi-query` crate, which re-exports these names.
 
-use upi_storage::error::Result;
+use std::cmp::Ordering;
+
 use upi_uncertain::{Datum, Field, Tuple};
-
-use crate::upi::DiscreteUpi;
 
 /// One row of a probabilistic threshold query answer: the tuple plus the
 /// confidence that it satisfies the predicate (`existence × P(value)`,
@@ -108,14 +105,18 @@ impl std::fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 /// Canonical PTQ result ordering: descending confidence, ties broken by
-/// ascending tuple id. Every access path presents rows this way.
+/// ascending tuple id. `total_cmp` makes it a total order, so a NaN
+/// confidence sorts (first) instead of panicking.
+pub fn result_cmp(a: &PtqResult, b: &PtqResult) -> Ordering {
+    b.confidence
+        .total_cmp(&a.confidence)
+        .then_with(|| a.tuple.id.cmp(&b.tuple.id))
+}
+
+/// Sort rows into the canonical [`result_cmp`] order. Every access path
+/// presents rows this way.
 pub fn sort_results(rows: &mut [PtqResult]) {
-    rows.sort_by(|a, b| {
-        b.confidence
-            .partial_cmp(&a.confidence)
-            .unwrap()
-            .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-    });
+    rows.sort_by(result_cmp);
 }
 
 /// Read the certain `U64` grouping key of `field` from a tuple.
@@ -148,37 +149,6 @@ pub fn group_count(
     let mut out: Vec<(u64, u64)> = counts.into_iter().collect();
     out.sort_unstable();
     Ok(out)
-}
-
-/// Top-k query through the UPI, used as the paper's §9 future-work
-/// *Tuple Access Layer*: because the UPI heap is ordered by
-/// `{value, probability DESC}`, the k most confident tuples for a value are
-/// the first `k` heap entries. When the heap run is exhausted — or its
-/// k-th entry falls below the cutoff threshold `C` — candidates from the
-/// cutoff index (also probability-ordered, so at most `k` of them matter)
-/// are merged in.
-pub fn top_k(upi: &DiscreteUpi, value: u64, k: usize) -> Result<Vec<PtqResult>> {
-    let mut results = upi.scan_value_limit(value, 0.0, Some(k))?;
-    let kth = results.last().map(|r| r.confidence).unwrap_or(0.0);
-    if results.len() < k || kth < upi.config().cutoff {
-        for cp in upi.cutoff_index().scan_limit(value, 0.0, Some(k))? {
-            let tuple = upi
-                .fetch_by_pointer(cp.first_value, cp.first_prob, cp.tid)?
-                .expect("cutoff pointer must dereference");
-            results.push(PtqResult {
-                tuple,
-                confidence: cp.prob,
-            });
-        }
-        results.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
-        results.truncate(k);
-    }
-    Ok(results)
 }
 
 #[cfg(test)]
@@ -227,6 +197,37 @@ mod tests {
             Err(ExecError::NotCertainU64 { field: 0, .. }) => {}
             other => panic!("expected NotCertainU64, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn sort_results_survives_nan_confidence() {
+        let mut rows = vec![result(1, 0.5), result(2, f64::NAN), result(3, 0.9)];
+        sort_results(&mut rows);
+        let ids: Vec<u64> = rows.iter().map(|r| r.tuple.id.0).collect();
+        assert_eq!(
+            ids,
+            vec![200, 300, 100],
+            "NaN ranks first, the rest descend"
+        );
+    }
+
+    #[test]
+    fn sort_results_keeps_finite_order() {
+        // Descending confidence, ties by ascending id — the order every
+        // access path has always presented.
+        let mut rows = vec![
+            result(4, 0.2),
+            result(2, 0.7),
+            result(1, 0.2),
+            result(3, 1.0),
+            result(5, 0.0),
+        ];
+        sort_results(&mut rows);
+        let got: Vec<(u64, f64)> = rows.iter().map(|r| (r.tuple.id.0, r.confidence)).collect();
+        assert_eq!(
+            got,
+            vec![(300, 1.0), (200, 0.7), (100, 0.2), (400, 0.2), (500, 0.0)]
+        );
     }
 
     #[test]

@@ -30,9 +30,9 @@ use upi_storage::Store;
 use upi_uncertain::{Tuple, TupleId};
 
 use crate::cost::DeviceCoeffs;
-use crate::exec::{sort_results, CursorStats, PtqResult};
+use crate::exec::{result_cmp, sort_results, CursorStats, PtqResult};
 use crate::maintenance::{select_compaction, CompactionPlan, CompactionStep};
-use crate::upi::{DiscreteUpi, PointRun, RangeRun, SecondaryRun, UpiConfig};
+use crate::upi::{CutoffMerge, DiscreteUpi, PointRun, RangeRun, SecondaryRun, UpiConfig};
 
 /// Configuration of a Fractured UPI.
 #[derive(Debug, Clone, Copy)]
@@ -217,183 +217,88 @@ impl FracturedUpi {
         self.buf_deletes.contains(&tid) || self.buf_inserts.contains_key(&tid)
     }
 
-    /// PTQ across main + fractures + insert buffer (Figure 1's SELECT
-    /// path), minus deleted tuples.
-    pub fn ptq(&self, value: u64, qt: f64) -> Result<Vec<PtqResult>> {
-        let mut out = Vec::new();
-        for r in self.main.ptq(value, qt)? {
-            if !self.suppressed(r.tuple.id.0, 0) {
-                out.push(r);
-            }
-        }
-        for (i, f) in self.fractures.iter().enumerate() {
-            for r in f.upi.ptq(value, qt)? {
-                if !self.suppressed(r.tuple.id.0, i + 1) {
-                    out.push(r);
-                }
-            }
-        }
-        for t in self.buf_inserts.values() {
-            let conf = t.confidence_eq(self.attr, value);
-            if conf >= qt && conf > 0.0 {
-                out.push(PtqResult {
+    /// Insert-buffer rows whose confidence under `conf` is positive and
+    /// `≥ qt`, in canonical order (the buffer is RAM-resident: no I/O).
+    fn buffered_rows(&self, qt: f64, conf: impl Fn(&Tuple) -> f64) -> Vec<PtqResult> {
+        let mut rows: Vec<PtqResult> = self
+            .buf_inserts
+            .values()
+            .filter_map(|t| {
+                let c = conf(t);
+                (c >= qt && c > 0.0).then(|| PtqResult {
                     tuple: t.clone(),
-                    confidence: conf,
-                });
-            }
-        }
-        out.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
-        Ok(out)
+                    confidence: c,
+                })
+            })
+            .collect();
+        sort_results(&mut rows);
+        rows
     }
 
-    /// Range PTQ across every component (a tuple's alternatives all live
-    /// in the component holding the tuple, so per-component confidences
-    /// are complete and the union rule is the same as for point PTQs).
-    pub fn ptq_range(&self, lo: u64, hi: u64, qt: f64) -> Result<Vec<PtqResult>> {
-        let mut out = Vec::new();
-        for r in self.main.ptq_range(lo, hi, qt)? {
-            if !self.suppressed(r.tuple.id.0, 0) {
-                out.push(r);
-            }
-        }
-        for (i, f) in self.fractures.iter().enumerate() {
-            for r in f.upi.ptq_range(lo, hi, qt)? {
-                if !self.suppressed(r.tuple.id.0, i + 1) {
-                    out.push(r);
-                }
-            }
-        }
-        for t in self.buf_inserts.values() {
-            let conf: f64 = t
-                .discrete(self.attr)
-                .alternatives()
-                .iter()
-                .filter(|&&(v, _)| (lo..=hi).contains(&v))
-                .map(|&(_, p)| p * t.exist)
-                .sum();
-            if conf >= qt && conf > 0.0 {
-                out.push(PtqResult {
-                    tuple: t.clone(),
-                    confidence: conf,
-                });
-            }
-        }
-        out.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
-        Ok(out)
-    }
-
-    /// Secondary-index PTQ across every component. `sec_idx` indexes
-    /// `sec_attrs`.
-    pub fn ptq_secondary(
-        &self,
-        sec_idx: usize,
-        value: u64,
-        qt: f64,
-        tailored: bool,
-    ) -> Result<Vec<PtqResult>> {
-        let mut out = Vec::new();
-        for r in self.main.ptq_secondary(sec_idx, value, qt, tailored)? {
-            if !self.suppressed(r.tuple.id.0, 0) {
-                out.push(r);
-            }
-        }
-        for (i, f) in self.fractures.iter().enumerate() {
-            for r in f.upi.ptq_secondary(sec_idx, value, qt, tailored)? {
-                if !self.suppressed(r.tuple.id.0, i + 1) {
-                    out.push(r);
-                }
-            }
-        }
-        let sec_attr = self.sec_attrs[sec_idx];
-        for t in self.buf_inserts.values() {
-            let conf = t.confidence_eq(sec_attr, value);
-            if conf >= qt && conf > 0.0 {
-                out.push(PtqResult {
-                    tuple: t.clone(),
-                    confidence: conf,
-                });
-            }
-        }
-        out.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
-        Ok(out)
-    }
-
-    /// Fracture-parallel streaming point PTQ: a k-way merge cursor over
-    /// one confidence-ordered [`PointRun`] per on-disk component plus the
-    /// insert buffer, with delete-set suppression applied *before* any
-    /// heap fetch (suppressed cutoff pointers are never dereferenced).
-    /// The merged stream is `{confidence DESC, tid ASC}`-ordered, so a
-    /// top-k consumer stops pulling — and each component stops *reading*
-    /// — after k surviving rows.
+    /// Fracture-parallel streaming point PTQ across main + fractures +
+    /// insert buffer (Figure 1's SELECT path), minus suppressed tuples.
+    /// Delete-set suppression is applied *before* any heap fetch:
+    /// suppressed heap entries are skipped before decode and suppressed
+    /// cutoff pointers are never dereferenced. The two point-PTQ
+    /// behaviours each run their one cursor per component:
     ///
-    /// `limit = Some(k)` additionally maintains a running k-th-confidence
-    /// **watermark** over the surviving rows seen so far (heads, emitted
-    /// rows, and the insert buffer — each a distinct row of the merged
-    /// output): once a component's next cutoff candidate — or next
-    /// **keyed heap entry** — falls below the watermark, that component's
-    /// scan stops outright; suppressed rows and below-watermark tails are
-    /// skipped *before their tuples are decoded* (the heap key carries
-    /// the confidence), so a long suppressed heap stretch costs no
-    /// decodes and no extra leaf reads. This is sound because suppression
-    /// only *removes* rows — it can never raise another row's confidence
-    /// — so k rows at/above the watermark already prove the tail of every
-    /// probability-descending component list irrelevant. Per-component
-    /// limits, by contrast, remain unsound (a component's k-th row may be
-    /// suppressed by a newer delete).
+    /// * `limit = None` — Algorithm 2 ([`DiscreteUpi::cutoff_merge`]) per
+    ///   component, each opened once the previous one is drained, so a
+    ///   component's I/O (heap seek, cutoff list, heap run, pointer
+    ///   fetches in heap key order) stays contiguous — interleaving
+    ///   components would pay a seek at every switch. Insert-buffer
+    ///   matches come last. Rows are unordered across components; sinks
+    ///   sort.
+    /// * `limit = Some(k)` — a confidence-ordered k-way merge over one
+    ///   [`PointRun`] per component, so a top-k consumer stops pulling —
+    ///   and each component stops *reading* — after k surviving rows. It
+    ///   keeps a running k-th-confidence [`TopKWatermark`] over the
+    ///   surviving rows seen so far (heads, emitted rows, and the insert
+    ///   buffer — each a distinct row of the merged output): once a
+    ///   component's next cutoff candidate — or next **keyed heap
+    ///   entry** — falls below the watermark, that component's scan stops
+    ///   outright, before any decode. This is sound because suppression
+    ///   only *removes* rows — it can never raise another row's
+    ///   confidence — so k rows at/above the watermark already prove the
+    ///   tail of every probability-descending component list irrelevant.
+    ///   Per-component limits, by contrast, remain unsound (a component's
+    ///   k-th row may be suppressed by a newer delete).
     pub fn ptq_run(
         &self,
         value: u64,
         qt: f64,
         limit: Option<usize>,
     ) -> Result<FracturedPointRun<'_>> {
-        let mut streams = vec![self.main.point_run(value, qt, None)?];
-        for fr in &self.fractures {
-            streams.push(fr.upi.point_run(value, qt, None)?);
-        }
-        let heads = streams.iter().map(|_| None).collect();
-        let mut buffered: Vec<PtqResult> = self
-            .buf_inserts
-            .values()
-            .filter_map(|t| {
-                let conf = t.confidence_eq(self.attr, value);
-                (conf >= qt && conf > 0.0).then(|| PtqResult {
-                    tuple: t.clone(),
-                    confidence: conf,
-                })
-            })
-            .collect();
-        sort_results(&mut buffered);
-        let mut seen_topk = Vec::new();
-        if let Some(k) = limit {
-            // Buffered rows are all part of the merged output: they seed
-            // the watermark before any on-disk component is read.
-            for r in &buffered {
-                note_seen(&mut seen_topk, k, r.confidence);
+        let buffered = self.buffered_rows(qt, |t| t.confidence_eq(self.attr, value));
+        let merge = match limit {
+            None => PointMerge::Chain {
+                runs: Vec::new(),
+                value,
+                qt,
+            },
+            Some(k) => {
+                let runs = self
+                    .components()
+                    .map(|upi| upi.point_run(value, qt, None))
+                    .collect::<Result<Vec<_>>>()?;
+                // Buffered rows are all part of the merged output: they
+                // seed the watermark before any on-disk component is read.
+                let mut watermark = TopKWatermark::new(k);
+                for r in &buffered {
+                    watermark.note(r.confidence);
+                }
+                PointMerge::TopK {
+                    heads: runs.iter().map(|_| None).collect(),
+                    runs,
+                    buf_head: None,
+                    watermark,
+                }
             }
-        }
+        };
         Ok(FracturedPointRun {
             f: self,
-            streams,
-            heads,
+            merge,
             buffered: buffered.into_iter(),
-            buf_head: None,
-            limit,
-            seen_topk,
             ext_floor: f64::NEG_INFINITY,
         })
     }
@@ -407,28 +312,18 @@ impl FracturedUpi {
     /// insert-buffer matches last. Rows are unordered across components;
     /// sinks sort.
     pub fn range_run(&self, lo: u64, hi: u64, qt: f64) -> Result<FracturedRangeRun<'_>> {
-        let mut streams = vec![self.main.range_run(lo, hi, qt)?];
-        for fr in &self.fractures {
-            streams.push(fr.upi.range_run(lo, hi, qt)?);
-        }
-        let mut buffered: Vec<PtqResult> = self
-            .buf_inserts
-            .values()
-            .filter_map(|t| {
-                let conf: f64 = t
-                    .discrete(self.attr)
-                    .alternatives()
-                    .iter()
-                    .filter(|&&(v, _)| (lo..=hi).contains(&v))
-                    .map(|&(_, p)| p * t.exist)
-                    .sum();
-                (conf >= qt && conf > 0.0).then(|| PtqResult {
-                    tuple: t.clone(),
-                    confidence: conf,
-                })
-            })
-            .collect();
-        sort_results(&mut buffered);
+        let streams = self
+            .components()
+            .map(|upi| upi.range_run(lo, hi, qt))
+            .collect::<Result<Vec<_>>>()?;
+        let buffered = self.buffered_rows(qt, |t| {
+            t.discrete(self.attr)
+                .alternatives()
+                .iter()
+                .filter(|&&(v, _)| (lo..=hi).contains(&v))
+                .map(|&(_, p)| p * t.exist)
+                .sum()
+        });
         let suppressed = vec![0; streams.len()];
         let rr = RoundRobin::new(streams.len());
         Ok(FracturedRangeRun {
@@ -461,18 +356,7 @@ impl FracturedUpi {
             streams.push(upi.secondary_run_where(sec_idx, value, qt, tailored, limit, &keep)?);
         }
         let sec_attr = self.sec_attrs[sec_idx];
-        let mut buffered: Vec<PtqResult> = self
-            .buf_inserts
-            .values()
-            .filter_map(|t| {
-                let conf = t.confidence_eq(sec_attr, value);
-                (conf >= qt && conf > 0.0).then(|| PtqResult {
-                    tuple: t.clone(),
-                    confidence: conf,
-                })
-            })
-            .collect();
-        sort_results(&mut buffered);
+        let buffered = self.buffered_rows(qt, |t| t.confidence_eq(sec_attr, value));
         let rr = RoundRobin::new(streams.len());
         Ok(FracturedSecondaryRun {
             streams,
@@ -487,7 +371,7 @@ impl FracturedUpi {
     /// load — and to every fracture flushed afterwards; insert-buffer
     /// rows are matched in RAM at query time, as always. Returns the
     /// secondary's position (the `sec_idx` of
-    /// [`ptq_secondary`](Self::ptq_secondary)).
+    /// [`secondary_run`](Self::secondary_run)).
     ///
     /// This lifts the old creation-order restriction: secondaries no
     /// longer have to be declared at [`create`](Self::create) time.
@@ -862,27 +746,6 @@ impl RoundRobin {
     }
 }
 
-/// Record a surviving row's confidence in the ascending running-top-k
-/// set (the watermark feeder of [`FracturedUpi::ptq_run`] and of the
-/// shard-level scatter-gather merge).
-pub(crate) fn note_seen(topk: &mut Vec<f64>, k: usize, conf: f64) {
-    let at = topk.partition_point(|&c| c < conf);
-    topk.insert(at, conf);
-    if topk.len() > k {
-        topk.remove(0);
-    }
-}
-
-/// The current k-th-confidence watermark: only meaningful once k
-/// surviving rows have been seen (before that there is no bound).
-pub(crate) fn watermark(topk: &[f64], k: usize) -> f64 {
-    if k > 0 && topk.len() >= k {
-        topk[0]
-    } else {
-        f64::NEG_INFINITY
-    }
-}
-
 /// A running top-k confidence watermark — the early-exit kernel of the
 /// fractured point merge ([`FracturedUpi::ptq_run`]), packaged so a
 /// scatter-gather merge one level up (`upi_query`'s shard merge) can
@@ -906,85 +769,89 @@ impl TopKWatermark {
         }
     }
 
-    /// Record one surviving row's confidence.
+    /// Record one surviving row's confidence (`topk` stays ascending and
+    /// at most `k` long).
     pub fn note(&mut self, conf: f64) {
-        note_seen(&mut self.topk, self.k, conf);
+        let at = self.topk.partition_point(|&c| c < conf);
+        self.topk.insert(at, conf);
+        if self.topk.len() > self.k {
+            self.topk.remove(0);
+        }
     }
 
     /// The current k-th-best confidence — `NEG_INFINITY` until `k` rows
     /// have been seen (before that there is no bound). Only ever rises.
     pub fn floor(&self) -> f64 {
-        watermark(&self.topk, self.k)
+        if self.k > 0 && self.topk.len() >= self.k {
+            self.topk[0]
+        } else {
+            f64::NEG_INFINITY
+        }
     }
 }
 
-/// Confidence-ordered k-way merge cursor over a fractured UPI's
-/// components (see [`FracturedUpi::ptq_run`]).
+/// Streaming point-PTQ cursor over a fractured UPI's components (see
+/// [`FracturedUpi::ptq_run`]).
 pub struct FracturedPointRun<'a> {
     f: &'a FracturedUpi,
-    /// One stream per on-disk component; index == suppression level.
-    streams: Vec<PointRun<'a>>,
-    heads: Vec<Option<PtqResult>>,
+    merge: PointMerge<'a>,
+    /// Insert-buffer matches, canonically ordered.
     buffered: std::vec::IntoIter<PtqResult>,
-    buf_head: Option<PtqResult>,
-    /// Top-k bound (`None` = unbounded merge).
-    limit: Option<usize>,
-    /// Ascending confidences of the k best surviving rows seen so far
-    /// (heads + emitted + insert buffer); `[0]` is the watermark.
-    seen_topk: Vec<f64>,
     /// External confidence floor (a *global* top-k watermark shared
     /// across sibling merges, e.g. other shards of a sharded table);
     /// combined with the internal watermark via `max`. Raise-only.
     ext_floor: f64,
 }
 
+/// How a [`FracturedPointRun`] draws on its components (one run per
+/// on-disk component; index == suppression level).
+enum PointMerge<'a> {
+    /// Unbounded: Algorithm-2 cursors of the components reached so far,
+    /// opened one after another; the last one is draining. Unordered.
+    Chain {
+        runs: Vec<CutoffMerge<'a>>,
+        value: u64,
+        qt: f64,
+    },
+    /// Top-k: a confidence-ordered k-way merge under a running watermark.
+    TopK {
+        runs: Vec<PointRun<'a>>,
+        heads: Vec<Option<PtqResult>>,
+        buf_head: Option<PtqResult>,
+        watermark: TopKWatermark,
+    },
+}
+
 impl FracturedPointRun<'_> {
+    /// Whether rows stream in the canonical `{confidence DESC, tid ASC}`
+    /// order (the top-k merge) or unordered (the Algorithm-2 chain).
+    pub fn is_ordered(&self) -> bool {
+        matches!(self.merge, PointMerge::TopK { .. })
+    }
+
     /// Per-component instrumentation counters (index 0 = the main UPI,
     /// then one entry per fracture; suppression and decode work are
     /// pushed into each component cursor, so they land here).
     pub fn component_stats(&self) -> Vec<CursorStats> {
-        self.streams.iter().map(|s| s.stats()).collect()
+        match &self.merge {
+            // Components the chain has not reached yet did no work.
+            PointMerge::Chain { runs, .. } => (0..=self.f.n_fractures())
+                .map(|i| runs.get(i).map_or_else(CursorStats::default, |r| r.stats()))
+                .collect(),
+            PointMerge::TopK { runs, .. } => runs.iter().map(|r| r.stats()).collect(),
+        }
     }
 
     /// Raise the external confidence floor: rows strictly below `floor`
-    /// are dropped and component cursors stop their source I/O once
-    /// nothing at/above it can remain. Used by a sharded scatter-gather
-    /// merge to propagate the *global* top-k watermark into this shard's
-    /// merge; only ever raises (a watermark cannot recede).
+    /// are dropped, and the top-k merge's component cursors stop their
+    /// source I/O once nothing at/above it can remain. Used by a sharded
+    /// scatter-gather merge to propagate the *global* top-k watermark
+    /// into this shard's merge; only ever raises (a watermark cannot
+    /// recede).
     pub fn raise_conf_floor(&mut self, floor: f64) {
         if floor > self.ext_floor {
             self.ext_floor = floor;
         }
-    }
-
-    /// Refill every empty head with the next *surviving* (non-suppressed)
-    /// row of its component. Suppression and the top-k watermark are
-    /// pushed into each component's [`PointRun`], so suppressed cutoff
-    /// pointers are skipped without a heap fetch and a component whose
-    /// next candidate cannot reach the watermark stops scanning its
-    /// cutoff list entirely.
-    fn fill_heads(&mut self) -> Result<()> {
-        let f = self.f;
-        for (level, stream) in self.streams.iter_mut().enumerate() {
-            if self.heads[level].is_none() {
-                let wm = match self.limit {
-                    Some(k) => watermark(&self.seen_topk, k),
-                    None => f64::NEG_INFINITY,
-                }
-                .max(self.ext_floor);
-                if let Some(r) = stream.next_where(wm, &|tid| !f.suppressed(tid, level)) {
-                    let r = r?;
-                    if let Some(k) = self.limit {
-                        note_seen(&mut self.seen_topk, k, r.confidence);
-                    }
-                    self.heads[level] = Some(r);
-                }
-            }
-        }
-        if self.buf_head.is_none() {
-            self.buf_head = self.buffered.next();
-        }
-        Ok(())
     }
 }
 
@@ -992,28 +859,74 @@ impl Iterator for FracturedPointRun<'_> {
     type Item = Result<PtqResult>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if let Err(e) = self.fill_heads() {
-            return Some(Err(e));
-        }
-        // Pick the winner: highest confidence, ties by lowest tid.
-        let rank = |r: &PtqResult| (r.confidence, std::cmp::Reverse(r.tuple.id.0));
-        let mut best: Option<usize> = None;
-        for (i, h) in self.heads.iter().enumerate() {
-            if let Some(r) = h {
-                if best.is_none_or(|b| rank(r) > rank(self.heads[b].as_ref().unwrap())) {
-                    best = Some(i);
+        let f = self.f;
+        let floor = self.ext_floor;
+        match &mut self.merge {
+            PointMerge::Chain { runs, value, qt } => {
+                loop {
+                    if let Some(level) = runs.len().checked_sub(1) {
+                        match runs[level].next_where(&|tid| !f.suppressed(tid, level)) {
+                            Some(Err(e)) => return Some(Err(e)),
+                            Some(Ok(r)) if r.confidence >= floor => return Some(Ok(r)),
+                            Some(Ok(_)) => continue,
+                            None => {}
+                        }
+                    }
+                    // The draining component is done: open the next one.
+                    let Some(upi) = f.components().nth(runs.len()) else {
+                        break;
+                    };
+                    match upi.cutoff_merge(*value, *qt) {
+                        Ok(run) => runs.push(run),
+                        Err(e) => return Some(Err(e)),
+                    }
                 }
+                self.buffered.find(|r| r.confidence >= floor).map(Ok)
+            }
+            PointMerge::TopK {
+                runs,
+                heads,
+                buf_head,
+                watermark,
+            } => {
+                // Refill every empty head with the next surviving row of
+                // its component. Suppression and the watermark are pushed
+                // into each component's `PointRun`, so a component whose
+                // next candidate cannot reach the watermark stops reading.
+                for (level, run) in runs.iter_mut().enumerate() {
+                    if heads[level].is_some() {
+                        continue;
+                    }
+                    let wm = watermark.floor().max(floor);
+                    match run.next_where(wm, &|tid| !f.suppressed(tid, level)) {
+                        Some(Err(e)) => return Some(Err(e)),
+                        Some(Ok(r)) => {
+                            watermark.note(r.confidence);
+                            heads[level] = Some(r);
+                        }
+                        None => {}
+                    }
+                }
+                if buf_head.is_none() {
+                    *buf_head = self.buffered.next();
+                }
+                // The winner sorts first in canonical order (ties go to
+                // the oldest component).
+                let head = |i: usize| heads[i].as_ref().unwrap();
+                let best = (0..heads.len())
+                    .filter(|&i| heads[i].is_some())
+                    .min_by(|&a, &b| result_cmp(head(a), head(b)));
+                let buffer_wins = match (&*buf_head, best) {
+                    (None, _) => false,
+                    (Some(_), None) => true,
+                    (Some(r), Some(b)) => result_cmp(r, head(b)).is_lt(),
+                };
+                if buffer_wins {
+                    return buf_head.take().map(Ok);
+                }
+                best.map(|b| Ok(heads[b].take().unwrap()))
             }
         }
-        let buffer_wins = match (&self.buf_head, best) {
-            (None, _) => false,
-            (Some(_), None) => true,
-            (Some(r), Some(b)) => rank(r) > rank(self.heads[b].as_ref().unwrap()),
-        };
-        if buffer_wins {
-            return Some(Ok(self.buf_head.take().unwrap()));
-        }
-        best.map(|b| Ok(self.heads[b].take().unwrap()))
     }
 }
 
@@ -1126,6 +1039,26 @@ mod tests {
         )
     }
 
+    /// Drain a cursor and put its rows in canonical order.
+    fn sorted(rows: impl Iterator<Item = Result<PtqResult>>) -> Vec<PtqResult> {
+        let mut rows: Vec<PtqResult> = rows.collect::<Result<_>>().unwrap();
+        sort_results(&mut rows);
+        rows
+    }
+
+    /// Unbounded point PTQ (the per-component Algorithm-2 chain).
+    fn ptq(f: &FracturedUpi, value: u64, qt: f64) -> Vec<PtqResult> {
+        sorted(f.ptq_run(value, qt, None).unwrap())
+    }
+
+    fn ptq_range(f: &FracturedUpi, lo: u64, hi: u64, qt: f64) -> Vec<PtqResult> {
+        sorted(f.range_run(lo, hi, qt).unwrap())
+    }
+
+    fn ptq_secondary(f: &FracturedUpi, value: u64, qt: f64, tailored: bool) -> Vec<PtqResult> {
+        sorted(f.secondary_run(0, value, qt, tailored, None).unwrap())
+    }
+
     fn fresh(buffer_ops: usize) -> FracturedUpi {
         FracturedUpi::create(
             store(),
@@ -1146,13 +1079,13 @@ mod tests {
         let initial: Vec<Tuple> = (0..200).map(|i| author(i, i % 10, 0.8)).collect();
         f.load_initial(&initial).unwrap();
         f.insert(author(1000, 3, 0.9)).unwrap();
-        let before = f.ptq(3, 0.5).unwrap();
+        let before = ptq(&f, 3, 0.5);
         assert!(before.iter().any(|r| r.tuple.id.0 == 1000));
         assert_eq!(f.n_fractures(), 0);
         f.flush().unwrap();
         assert_eq!(f.n_fractures(), 1);
         assert_eq!(f.buffered_ops(), 0);
-        let after = f.ptq(3, 0.5).unwrap();
+        let after = ptq(&f, 3, 0.5);
         assert_eq!(before.len(), after.len());
         assert!(after.iter().any(|r| r.tuple.id.0 == 1000));
     }
@@ -1163,13 +1096,13 @@ mod tests {
         f.load_initial(&[author(1, 5, 0.8), author(2, 5, 0.8)])
             .unwrap();
         f.delete(TupleId(1)).unwrap();
-        assert_eq!(f.ptq(5, 0.1).unwrap().len(), 1);
+        assert_eq!(ptq(&f, 5, 0.1).len(), 1);
         f.flush().unwrap();
-        assert_eq!(f.ptq(5, 0.1).unwrap().len(), 1);
+        assert_eq!(ptq(&f, 5, 0.1).len(), 1);
         // Re-insert id 1 in a NEWER fracture: it must be visible again.
         f.insert(author(1, 5, 0.9)).unwrap();
         f.flush().unwrap();
-        let res = f.ptq(5, 0.1).unwrap();
+        let res = ptq(&f, 5, 0.1);
         assert_eq!(res.len(), 2);
         let revived = res.iter().find(|r| r.tuple.id.0 == 1).unwrap();
         assert!((revived.confidence - 0.9 * 0.95).abs() < 1e-6);
@@ -1182,7 +1115,7 @@ mod tests {
         f.insert(author(99, 5, 0.9)).unwrap();
         f.delete(TupleId(99)).unwrap();
         assert_eq!(f.buffered_ops(), 0, "insert+delete cancel in RAM");
-        assert_eq!(f.ptq(5, 0.1).unwrap().len(), 1);
+        assert_eq!(ptq(&f, 5, 0.1).len(), 1);
     }
 
     #[test]
@@ -1193,7 +1126,7 @@ mod tests {
             f.insert(author(i, 1, 0.8)).unwrap();
         }
         assert!(f.n_fractures() >= 2, "two autoflushes at buffer_ops=10");
-        assert_eq!(f.ptq(1, 0.1).unwrap().len(), 26);
+        assert_eq!(ptq(&f, 1, 0.1).len(), 26);
     }
 
     #[test]
@@ -1212,18 +1145,14 @@ mod tests {
             f.flush().unwrap();
         }
         assert_eq!(f.n_fractures(), 3);
-        let before: Vec<(u64, u64)> = f
-            .ptq(4, 0.1)
-            .unwrap()
+        let before: Vec<(u64, u64)> = ptq(&f, 4, 0.1)
             .iter()
             .map(|r| (r.tuple.id.0, (r.confidence * 1e9) as u64))
             .collect();
         let bytes_before = f.total_bytes();
         f.merge().unwrap();
         assert_eq!(f.n_fractures(), 0);
-        let after: Vec<(u64, u64)> = f
-            .ptq(4, 0.1)
-            .unwrap()
+        let after: Vec<(u64, u64)> = ptq(&f, 4, 0.1)
             .iter()
             .map(|r| (r.tuple.id.0, (r.confidence * 1e9) as u64))
             .collect();
@@ -1271,7 +1200,7 @@ mod tests {
         f.insert(author(2, 14, 0.8)).unwrap(); // country 0
         f.flush().unwrap();
         f.insert(author(3, 21, 0.8)).unwrap(); // country 0, buffered
-        let res = f.ptq_secondary(0, 0, 0.1, true).unwrap();
+        let res = ptq_secondary(&f, 0, 0.1, true);
         let mut ids: Vec<u64> = res.iter().map(|r| r.tuple.id.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, 3]);
@@ -1280,67 +1209,94 @@ mod tests {
     #[test]
     fn streaming_runs_match_batch_across_components() {
         // Main + one fracture + live insert buffer + deletes: every
-        // streaming cursor must agree with its batch counterpart.
+        // streaming cursor must agree with a brute-force answer over a
+        // model of the live tuples.
         let mut f = fresh(0);
+        let mut live: BTreeMap<u64, Tuple> = BTreeMap::new();
         let initial: Vec<Tuple> = (0..120).map(|i| author(i, i % 6, 0.8)).collect();
         f.load_initial(&initial).unwrap();
+        live.extend(initial.into_iter().map(|t| (t.id.0, t)));
         for i in 0..40u64 {
-            f.insert(author(500 + i, i % 6, 0.85)).unwrap();
+            let t = author(500 + i, i % 6, 0.85);
+            live.insert(t.id.0, t.clone());
+            f.insert(t).unwrap();
         }
         for i in 0..6u64 {
             f.delete(TupleId(i)).unwrap();
+            live.remove(&i);
         }
         f.flush().unwrap();
         for i in 0..10u64 {
-            f.insert(author(900 + i, i % 6, 0.9)).unwrap(); // stays buffered
+            let t = author(900 + i, i % 6, 0.9); // stays buffered
+            live.insert(t.id.0, t.clone());
+            f.insert(t).unwrap();
         }
         f.delete(TupleId(7)).unwrap();
+        live.remove(&7);
 
-        let key = |r: &PtqResult| (r.tuple.id.0, (r.confidence * 1e9).round() as u64);
+        // `(tid, confidence)` of every live tuple whose mass on
+        // `lo..=hi` of field `attr` is positive and ≥ qt, canonical order.
+        let oracle = |attr: usize, lo: u64, hi: u64, qt: f64| {
+            let mut out: Vec<(u64, f64)> = live
+                .values()
+                .filter_map(|t| {
+                    let conf: f64 = t
+                        .discrete(attr)
+                        .alternatives()
+                        .iter()
+                        .filter(|&&(v, _)| (lo..=hi).contains(&v))
+                        .map(|&(_, p)| p * t.exist)
+                        .sum();
+                    (conf > 0.0 && conf >= qt).then_some((t.id.0, conf))
+                })
+                .collect();
+            out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            out
+        };
+        // Compared by tid: buffered rows carry exact confidences and
+        // on-disk rows key-grid ones, so exact ties may order either way.
+        let check = |got: &[PtqResult], mut want: Vec<(u64, f64)>, what: &str| {
+            let mut got: Vec<(u64, f64)> =
+                got.iter().map(|r| (r.tuple.id.0, r.confidence)).collect();
+            got.sort_by_key(|r| r.0);
+            want.sort_by_key(|r| r.0);
+            assert_eq!(got.len(), want.len(), "{what}");
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(a.0, b.0, "{what}");
+                assert!((a.1 - b.1).abs() < 1e-6, "{what}");
+            }
+        };
         for qt in [0.0, 0.1, 0.5] {
-            // Point: the merge is confidence-ordered and equal to batch.
-            let batch = f.ptq(3, qt).unwrap();
-            let streamed: Vec<PtqResult> = f
-                .ptq_run(3, qt, None)
+            // Point, both behaviours; the top-k merge must also stream in
+            // descending confidence.
+            let merged: Vec<PtqResult> = f
+                .ptq_run(3, qt, Some(usize::MAX))
                 .unwrap()
                 .collect::<Result<_>>()
                 .unwrap();
-            assert_eq!(
-                batch.iter().map(key).collect::<Vec<_>>(),
-                streamed.iter().map(key).collect::<Vec<_>>(),
-                "point qt={qt}"
-            );
-            for w in streamed.windows(2) {
+            for w in merged.windows(2) {
                 assert!(w[0].confidence >= w[1].confidence, "merge order broken");
             }
-            // Range.
-            let mut batch = f.ptq_range(1, 4, qt).unwrap();
-            let mut streamed: Vec<PtqResult> = f
-                .range_run(1, 4, qt)
-                .unwrap()
-                .collect::<Result<_>>()
-                .unwrap();
-            sort_results(&mut batch);
-            sort_results(&mut streamed);
-            assert_eq!(
-                batch.iter().map(key).collect::<Vec<_>>(),
-                streamed.iter().map(key).collect::<Vec<_>>(),
-                "range qt={qt}"
+            check(
+                &merged,
+                oracle(1, 3, 3, qt),
+                &format!("top-k point qt={qt}"),
             );
-            // Secondary (tailored and plain).
+            check(
+                &ptq(&f, 3, qt),
+                oracle(1, 3, 3, qt),
+                &format!("point qt={qt}"),
+            );
+            check(
+                &ptq_range(&f, 1, 4, qt),
+                oracle(1, 1, 4, qt),
+                &format!("range qt={qt}"),
+            );
             for tailored in [true, false] {
-                let mut batch = f.ptq_secondary(0, 2, qt, tailored).unwrap();
-                let mut streamed: Vec<PtqResult> = f
-                    .secondary_run(0, 2, qt, tailored, None)
-                    .unwrap()
-                    .collect::<Result<_>>()
-                    .unwrap();
-                sort_results(&mut batch);
-                sort_results(&mut streamed);
-                assert_eq!(
-                    batch.iter().map(key).collect::<Vec<_>>(),
-                    streamed.iter().map(key).collect::<Vec<_>>(),
-                    "secondary qt={qt} tailored={tailored}"
+                check(
+                    &ptq_secondary(&f, 2, qt, tailored),
+                    oracle(2, 2, 2, qt),
+                    &format!("secondary qt={qt} tailored={tailored}"),
                 );
             }
         }
@@ -1380,12 +1336,12 @@ mod tests {
         f.delete(TupleId(7)).unwrap();
         assert_eq!(f.n_live_tuples(), 0);
         assert!(f.live_tuples().unwrap().is_empty());
-        assert!(f.ptq(1, 0.0).unwrap().is_empty(), "v1 resurrected");
-        assert!(f.ptq(2, 0.0).unwrap().is_empty(), "v2 survived its delete");
+        assert!(ptq(&f, 1, 0.0).is_empty(), "v1 resurrected");
+        assert!(ptq(&f, 2, 0.0).is_empty(), "v2 survived its delete");
 
         // And the emptiness must survive a flush of the delete marker.
         f.flush().unwrap();
-        assert!(f.ptq(1, 0.0).unwrap().is_empty());
+        assert!(ptq(&f, 1, 0.0).is_empty());
         assert_eq!(f.n_live_tuples(), 0);
 
         // Same shape against a version living in *main* (not a fracture).
@@ -1394,10 +1350,7 @@ mod tests {
         g.delete(TupleId(3)).unwrap();
         g.insert(author(3, 2, 0.9)).unwrap();
         g.delete(TupleId(3)).unwrap();
-        assert!(
-            g.ptq(1, 0.0).unwrap().is_empty(),
-            "main version resurrected"
-        );
+        assert!(ptq(&g, 1, 0.0).is_empty(), "main version resurrected");
         assert_eq!(g.n_live_tuples(), 0);
     }
 
@@ -1434,15 +1387,10 @@ mod tests {
         let key = |r: &PtqResult| (r.tuple.id.0, (r.confidence * 1e9).round() as u64);
         let mut out = Vec::new();
         for v in 0..9u64 {
-            out.extend(f.ptq(v, 0.1).unwrap().iter().map(key));
-            out.extend(
-                f.ptq_secondary(0, v % 7, 0.2, true)
-                    .unwrap()
-                    .iter()
-                    .map(key),
-            );
+            out.extend(ptq(f, v, 0.1).iter().map(key));
+            out.extend(ptq_secondary(f, v % 7, 0.2, true).iter().map(key));
         }
-        out.extend(f.ptq_range(2, 6, 0.0).unwrap().iter().map(key));
+        out.extend(ptq_range(f, 2, 6, 0.0).iter().map(key));
         out
     }
 
@@ -1521,14 +1469,14 @@ mod tests {
         assert_eq!(f.n_fractures(), 1);
         let _ = coeffs;
         assert!(
-            f.ptq(3, 0.0).unwrap().iter().all(|r| r.tuple.id.0 != 1),
+            ptq(&f, 3, 0.0).iter().all(|r| r.tuple.id.0 != 1),
             "delete marker for the main-resident row was dropped"
         );
         assert!(
-            f.ptq(3, 0.0).unwrap().iter().all(|r| r.tuple.id.0 != 10),
+            ptq(&f, 3, 0.0).iter().all(|r| r.tuple.id.0 != 10),
             "stale v1 of the updated row survived the run compaction"
         );
-        let v2 = f.ptq(4, 0.0).unwrap();
+        let v2 = ptq(&f, 4, 0.0);
         assert_eq!(v2.len(), 1);
         assert_eq!(v2[0].tuple.id.0, 10);
         assert_eq!(f.n_live_tuples(), 2, "id 2 in main + id 10 v2");

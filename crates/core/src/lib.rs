@@ -40,7 +40,8 @@
 //!
 //! Every structure performs I/O through a [`upi_storage::Store`]; query
 //! "runtime" is the simulated clock advance, reproducing the paper's
-//! sequential-vs-random I/O trade-offs exactly (see `DESIGN.md`).
+//! sequential-vs-random I/O trade-offs exactly (the disk model is
+//! `upi_storage::DiskConfig`, Table 6's parameters).
 
 pub mod continuous;
 pub mod cost;
@@ -62,7 +63,7 @@ pub use continuous::{ContinuousConfig, ContinuousSecondary, ContinuousUpi, Secon
 pub use cost::{CostModel, CostParams, DeviceCoeffs};
 pub use cutoff::{CutoffIndex, CutoffRangeRun};
 pub use durability::{CheckpointImage, RecoveryInfo, WalRecord};
-pub use exec::{group_count, sort_results, top_k, CursorStats, ExecError, PtqResult};
+pub use exec::{group_count, result_cmp, sort_results, CursorStats, ExecError, PtqResult};
 pub use fractured::{
     FracturedConfig, FracturedPointRun, FracturedRangeRun, FracturedSecondaryRun, FracturedUpi,
     TopKWatermark,
@@ -76,4 +77,6 @@ pub use secondary::{PointerHistogram, SecEntry, SecScanRun, SecondaryIndex};
 pub use shard::{ShardLayout, ShardStats, ShardedTable};
 pub use table::{TableLayout, UncertainTable};
 pub use tuning::{CutoffChoice, TuningAdvisor, WorkloadProfile};
-pub use upi::{DiscreteUpi, DistinctScan, HeapRun, PointRun, RangeRun, SecondaryRun, UpiConfig};
+pub use upi::{
+    CutoffMerge, DiscreteUpi, DistinctScan, HeapRun, PointRun, RangeRun, SecondaryRun, UpiConfig,
+};

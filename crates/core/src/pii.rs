@@ -16,7 +16,7 @@ use upi_storage::error::Result;
 use upi_storage::Store;
 use upi_uncertain::{AttrStats, Tuple, TupleId};
 
-use crate::exec::PtqResult;
+use crate::exec::{sort_results, PtqResult};
 use crate::heap::UnclusteredHeap;
 use crate::keys;
 
@@ -113,7 +113,7 @@ impl Pii {
             }
         }
         // Present results in descending confidence like the UPI does.
-        out.sort_by(|a, b| b.confidence.partial_cmp(&a.confidence).unwrap());
+        sort_results(&mut out);
         Ok(out)
     }
 
@@ -150,12 +150,7 @@ impl Pii {
                 out.push(PtqResult { tuple, confidence });
             }
         }
-        out.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
+        sort_results(&mut out);
         Ok(out)
     }
 

@@ -11,7 +11,7 @@
 //! in each secondary index entry").
 //!
 //! The choice *among* the pointers — Tailored Secondary Index Access,
-//! Algorithm 3 — lives in [`crate::upi::DiscreteUpi::ptq_secondary`]
+//! Algorithm 3 — lives in [`crate::upi::DiscreteUpi::secondary_run`]
 //! because it needs the UPI heap.
 
 use std::collections::HashMap;

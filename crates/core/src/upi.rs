@@ -5,7 +5,7 @@ use std::collections::{HashMap, HashSet};
 
 use upi_btree::{BTree, Cursor, TreeStats};
 use upi_storage::codec::{dequantize_prob, quantize_prob};
-use upi_storage::error::Result;
+use upi_storage::error::{Result, StorageError};
 use upi_storage::Store;
 use upi_uncertain::tuple::{decode_tuple, encode_tuple, peek_first_alt};
 use upi_uncertain::{AttrStats, Tuple};
@@ -77,7 +77,7 @@ impl DiscreteUpi {
     }
 
     /// Attach a secondary index on discrete field `attr`. Returns its
-    /// position for [`ptq_secondary`](Self::ptq_secondary).
+    /// position for [`secondary_run`](Self::secondary_run).
     ///
     /// On an empty UPI this is free; on a loaded one the index is
     /// **backfilled** with one sequential distinct scan of the heap
@@ -228,30 +228,11 @@ impl DiscreteUpi {
         Ok(())
     }
 
-    /// Scan heap entries of `value` with confidence `≥ qt`, optionally
-    /// stopping after `limit` results (the top-k path). One index seek, then
-    /// sequential.
-    pub(crate) fn scan_value_limit(
-        &self,
-        value: u64,
-        qt: f64,
-        limit: Option<usize>,
-    ) -> Result<Vec<PtqResult>> {
-        let mut out = Vec::new();
-        for r in self.heap_run(value, qt)? {
-            out.push(r?);
-            if limit.is_some_and(|k| out.len() >= k) {
-                break;
-            }
-        }
-        Ok(out)
-    }
-
     /// Streaming cursor over the heap run of `value` with confidence
     /// `≥ qt`: one index seek, then sequential leaf-chain reads, yielding
     /// results in descending-confidence order without materializing the
-    /// run. This is the accessor the `upi-query` streaming executor builds
-    /// its `IndexRun` operator on.
+    /// run. Both point-PTQ cursors ([`CutoffMerge`], [`PointRun`]) read
+    /// the heap through it.
     pub fn heap_run(&self, value: u64, qt: f64) -> Result<HeapRun<'_>> {
         let cur = self.heap.seek(&keys::value_prefix(value))?;
         Ok(HeapRun {
@@ -297,7 +278,55 @@ impl DiscreteUpi {
             .map(|b| decode_tuple(&b)))
     }
 
-    /// Confidence-ordered streaming cursor for a point PTQ `(value, qt)`:
+    /// Dereference a cutoff or secondary pointer. Every live pointer has
+    /// a heap copy (Algorithm 1), so a missing one is corruption: a typed
+    /// [`StorageError::Corrupted`], never a panic.
+    fn deref_pointer(&self, kind: &str, value: u64, prob: f64, tid: u64) -> Result<Tuple> {
+        self.fetch_by_pointer(value, prob, tid)?.ok_or_else(|| {
+            StorageError::Corrupted(format!(
+                "{}: dangling {kind} pointer to heap entry ({value}, {prob}, tid {tid})",
+                self.name
+            ))
+        })
+    }
+
+    /// Algorithm 2 as a streaming cursor, for an unbounded point PTQ
+    /// `SELECT * WHERE attr = value, confidence ≥ qt`: the heap run for
+    /// `value` (one seek, then sequential), then — when `qt < C` — every
+    /// qualifying cutoff pointer, dereferenced in heap key order so the
+    /// fetches sweep the heap once instead of seeking at random.
+    ///
+    /// I/O order: the heap seek and the whole cutoff list are read at
+    /// open (the list is a compact pointer run), then the heap run
+    /// streams as the consumer pulls, then the pointer fetches. Rows are
+    /// *not* confidence-ordered; a top-k consumer wants
+    /// [`point_run`](Self::point_run) instead.
+    pub fn cutoff_merge(&self, value: u64, qt: f64) -> Result<CutoffMerge<'_>> {
+        let run = self.heap_run(value, qt)?;
+        let mut pointers = Vec::new();
+        if qt < self.cfg.cutoff {
+            // Every cutoff entry is below C; at qt ≥ C none qualify.
+            pointers = self.cutoff.scan(value, qt)?;
+            pointers.sort_unstable_by_key(|cp| {
+                (
+                    cp.first_value,
+                    u32::MAX - quantize_prob(cp.first_prob),
+                    cp.tid,
+                )
+            });
+        }
+        Ok(CutoffMerge {
+            upi: self,
+            run: Some(run),
+            pending: pointers.into_iter(),
+            run_stats: CursorStats::default(),
+            ptr_stats: CursorStats::default(),
+        })
+    }
+
+    /// Confidence-ordered streaming cursor for a point PTQ `(value, qt)`
+    /// — the top-k cursor (an unbounded query wants the heap-order
+    /// fetches of [`cutoff_merge`](Self::cutoff_merge)):
     /// merges the heap run with the (lazily consulted) cutoff list so
     /// results come out in `{confidence DESC, tid ASC}` order and a top-k
     /// consumer can stop pulling — and therefore stop *reading* — after k
@@ -353,9 +382,15 @@ impl DiscreteUpi {
         })
     }
 
-    /// Streaming secondary-index probe (Algorithm 3 when `tailored`):
-    /// scans the compact entry run, chooses one heap pointer per entry,
-    /// then dereferences lazily in heap (bitmap) order. With
+    /// Streaming secondary-index probe (Queries 3 and 5 of the paper):
+    /// `SELECT * WHERE sec_attr = value, confidence ≥ qt`. Scans the
+    /// compact entry run, chooses one heap pointer per entry, then
+    /// dereferences lazily in heap (bitmap) order. With `tailored` the
+    /// choice is Algorithm 3 — Tailored Secondary Index Access: entries
+    /// with a single pointer fix the set of heap regions first, and
+    /// multi-pointer entries then prefer a pointer into an already-visited
+    /// region; otherwise every entry uses its first (highest-probability)
+    /// pointer, a conventional secondary index over the UPI. With
     /// `limit = Some(k)` only the k most-confident entries are read and
     /// fetched — the secondary entry run is `{confidence DESC}`-ordered,
     /// so a top-k query's result set is decided by its first k entries.
@@ -431,82 +466,6 @@ impl DiscreteUpi {
                 ..CursorStats::default()
             },
         })
-    }
-
-    /// Probabilistic threshold query (Algorithm 2):
-    /// `SELECT * WHERE attr = value, confidence ≥ qt`.
-    ///
-    /// Reads the heap run for `value` (sequential); when `qt < C` it
-    /// additionally scans the cutoff index and dereferences each pointer,
-    /// visiting targets in heap order.
-    pub fn ptq(&self, value: u64, qt: f64) -> Result<Vec<PtqResult>> {
-        let mut results = self.scan_value_limit(value, qt, None)?;
-        if qt < self.cfg.cutoff {
-            let mut pointers = self.cutoff.scan(value, qt)?;
-            // Visit heap targets in physical (key) order.
-            pointers.sort_unstable_by_key(|cp| {
-                (
-                    cp.first_value,
-                    u32::MAX - quantize_prob(cp.first_prob),
-                    cp.tid,
-                )
-            });
-            for cp in pointers {
-                let tuple = self
-                    .fetch_by_pointer(cp.first_value, cp.first_prob, cp.tid)?
-                    .expect("cutoff pointer must dereference");
-                results.push(PtqResult {
-                    tuple,
-                    confidence: cp.prob,
-                });
-            }
-        }
-        results.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
-        Ok(results)
-    }
-
-    /// Range PTQ: `SELECT * WHERE attr BETWEEN lo AND hi, confidence ≥ qt`
-    /// (inclusive bounds).
-    ///
-    /// Under possible-world semantics a tuple's confidence for a range
-    /// predicate is `existence × Σ_{v ∈ [lo,hi]} P(v)` — alternatives
-    /// *sum*, so per-alternative probability pruning is unsound and the
-    /// scan reads every entry in the range: one index seek plus one
-    /// sequential run over the clustered heap (the UPI's analytic-query
-    /// strength), plus the below-cutoff alternatives from the cutoff
-    /// index. This is the batch collection of [`range_run`](Self::range_run).
-    pub fn ptq_range(&self, lo: u64, hi: u64, qt: f64) -> Result<Vec<PtqResult>> {
-        let mut out: Vec<PtqResult> = self.range_run(lo, hi, qt)?.collect::<Result<_>>()?;
-        crate::exec::sort_results(&mut out);
-        Ok(out)
-    }
-
-    /// PTQ through secondary index `sec_idx` (Queries 3 and 5 of the
-    /// paper): `SELECT * WHERE sec_attr = value, confidence ≥ qt`.
-    ///
-    /// With `tailored = true` this is Algorithm 3 — Tailored Secondary
-    /// Index Access: entries with a single pointer fix the set of heap
-    /// regions first; multi-pointer entries then prefer a pointer into an
-    /// already-visited region. With `tailored = false` every entry uses its
-    /// first (highest-probability) pointer, i.e. a conventional secondary
-    /// index over the UPI.
-    pub fn ptq_secondary(
-        &self,
-        sec_idx: usize,
-        value: u64,
-        qt: f64,
-        tailored: bool,
-    ) -> Result<Vec<PtqResult>> {
-        let mut out: Vec<PtqResult> = self
-            .secondary_run(sec_idx, value, qt, tailored, None)?
-            .collect::<Result<_>>()?;
-        crate::exec::sort_results(&mut out);
-        Ok(out)
     }
 
     /// Enumerate every distinct tuple by scanning the heap sequentially,
@@ -747,6 +706,83 @@ impl Iterator for DistinctScan<'_> {
     }
 }
 
+/// Algorithm 2 as a streaming cursor (see [`DiscreteUpi::cutoff_merge`]):
+/// drains the heap run, then dereferences the qualifying cutoff pointers
+/// in heap key order, one per pull.
+pub struct CutoffMerge<'a> {
+    upi: &'a DiscreteUpi,
+    run: Option<HeapRun<'a>>,
+    /// Qualifying cutoff pointers in heap key order, read at open.
+    pending: std::vec::IntoIter<CutoffPointer>,
+    /// Heap-run counters, harvested when the run phase ends.
+    run_stats: CursorStats,
+    /// Pointer-phase counters (fetches, suppressed pointers, rows).
+    ptr_stats: CursorStats,
+}
+
+impl CutoffMerge<'_> {
+    /// Counters of the heap-run phase so far.
+    pub fn run_stats(&self) -> CursorStats {
+        match &self.run {
+            Some(run) => run.stats(),
+            None => self.run_stats,
+        }
+    }
+
+    /// Counters of the pointer phase so far.
+    pub fn pointer_stats(&self) -> CursorStats {
+        self.ptr_stats
+    }
+
+    /// Both phases' counters.
+    pub fn stats(&self) -> CursorStats {
+        self.run_stats().merged(self.ptr_stats)
+    }
+
+    /// [`Iterator::next`] with a tuple-id filter applied before any
+    /// work on a row: a heap entry failing `keep` is skipped before its
+    /// payload is decoded, and a cutoff pointer failing it is dropped
+    /// before its heap fetch (the fractured chain drops suppressed
+    /// tuples this way without paying their I/O).
+    pub fn next_where(&mut self, keep: &dyn Fn(u64) -> bool) -> Option<Result<PtqResult>> {
+        if let Some(run) = &mut self.run {
+            match run.next_where(f64::NEG_INFINITY, keep) {
+                Some(item) => return Some(item),
+                None => {
+                    self.run_stats = run.stats();
+                    self.run = None;
+                }
+            }
+        }
+        for cp in self.pending.by_ref() {
+            if !keep(cp.tid) {
+                self.ptr_stats.suppressed += 1;
+                continue;
+            }
+            self.ptr_stats.pointer_fetches += 1;
+            let tuple = self
+                .upi
+                .deref_pointer("cutoff", cp.first_value, cp.first_prob, cp.tid);
+            return Some(tuple.map(|tuple| {
+                self.ptr_stats.rows += 1;
+                PtqResult {
+                    tuple,
+                    confidence: cp.prob,
+                }
+            }));
+        }
+        None
+    }
+}
+
+impl Iterator for CutoffMerge<'_> {
+    type Item = Result<PtqResult>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_where(&|_| true)
+    }
+}
+
 /// Confidence-ordered point-PTQ cursor (see [`DiscreteUpi::point_run`]):
 /// a lazy merge of the heap run with the cutoff list. The cutoff list is
 /// a streaming cursor consulted one entry at a time, and cutoff targets
@@ -907,9 +943,11 @@ impl PointRun<'_> {
             (None, None) => return None,
             (None, Some(_)) => true,
             (Some(_), None) => false,
-            (Some(r), Some(p)) => (p.prob, std::cmp::Reverse(p.tid))
-                .partial_cmp(&(r.confidence, std::cmp::Reverse(r.tuple.id.0)))
-                .unwrap()
+            // The canonical order: higher confidence, then lower tid.
+            (Some(r), Some(p)) => p
+                .prob
+                .total_cmp(&r.confidence)
+                .then_with(|| r.tuple.id.0.cmp(&p.tid))
                 .is_gt(),
         };
         if !take_ptr {
@@ -927,20 +965,16 @@ impl PointRun<'_> {
         // `min_conf`.
         let cp = self.ptr_head.take().unwrap();
         self.stats.pointer_fetches += 1;
-        match self
+        let tuple = self
             .upi
-            .fetch_by_pointer(cp.first_value, cp.first_prob, cp.tid)
-        {
-            Ok(Some(tuple)) => {
-                self.stats.rows += 1;
-                Some(Ok(PtqResult {
-                    tuple,
-                    confidence: cp.prob,
-                }))
+            .deref_pointer("cutoff", cp.first_value, cp.first_prob, cp.tid);
+        Some(tuple.map(|tuple| {
+            self.stats.rows += 1;
+            PtqResult {
+                tuple,
+                confidence: cp.prob,
             }
-            Ok(None) => panic!("cutoff pointer must dereference"),
-            Err(e) => Some(Err(e)),
-        }
+        }))
     }
 }
 
@@ -1053,14 +1087,10 @@ impl Iterator for RangeRun<'_> {
         }
         let (v, p, tid, confidence) = self.pending.as_mut().unwrap().next()?;
         self.stats.pointer_fetches += 1;
-        match self.upi.fetch_by_pointer(v, p, tid) {
-            Ok(Some(tuple)) => {
-                self.stats.rows += 1;
-                Some(Ok(PtqResult { tuple, confidence }))
-            }
-            Ok(None) => panic!("cutoff pointer must dereference"),
-            Err(e) => Some(Err(e)),
-        }
+        Some(self.upi.deref_pointer("cutoff", v, p, tid).map(|tuple| {
+            self.stats.rows += 1;
+            PtqResult { tuple, confidence }
+        }))
     }
 }
 
@@ -1087,14 +1117,10 @@ impl Iterator for SecondaryRun<'_> {
     fn next(&mut self) -> Option<Self::Item> {
         let (v, p, tid, confidence) = self.chosen.next()?;
         self.stats.pointer_fetches += 1;
-        match self.upi.fetch_by_pointer(v, p, tid) {
-            Ok(Some(tuple)) => {
-                self.stats.rows += 1;
-                Some(Ok(PtqResult { tuple, confidence }))
-            }
-            Ok(None) => panic!("secondary pointer must dereference"),
-            Err(e) => Some(Err(e)),
-        }
+        Some(self.upi.deref_pointer("secondary", v, p, tid).map(|tuple| {
+            self.stats.rows += 1;
+            PtqResult { tuple, confidence }
+        }))
     }
 }
 
@@ -1141,6 +1167,58 @@ mod tests {
         ]
     }
 
+    /// Unbounded point PTQ through Algorithm 2, in canonical order.
+    fn ptq(u: &DiscreteUpi, value: u64, qt: f64) -> Vec<PtqResult> {
+        let mut rows: Vec<PtqResult> = u
+            .cutoff_merge(value, qt)
+            .unwrap()
+            .collect::<Result<_>>()
+            .unwrap();
+        crate::exec::sort_results(&mut rows);
+        rows
+    }
+
+    /// Drain a cursor and put its rows in canonical order.
+    fn sorted(rows: impl Iterator<Item = Result<PtqResult>>) -> Vec<PtqResult> {
+        let mut rows: Vec<PtqResult> = rows.collect::<Result<_>>().unwrap();
+        crate::exec::sort_results(&mut rows);
+        rows
+    }
+
+    /// Brute-force answer over the source tuples: `(tid, confidence)` of
+    /// every tuple whose folded mass on `lo..=hi` of field `attr` is
+    /// positive and `≥ qt`, on the key grid, in canonical order.
+    fn oracle(attr: usize, lo: u64, hi: u64, qt: f64) -> Vec<(u64, f64)> {
+        let q = |p: f64| dequantize_prob(quantize_prob(p));
+        let mut out: Vec<(u64, f64)> = table4()
+            .iter()
+            .filter_map(|t| {
+                let conf: f64 = t
+                    .discrete(attr)
+                    .alternatives()
+                    .iter()
+                    .filter(|&&(v, _)| (lo..=hi).contains(&v))
+                    .map(|&(_, p)| q(p * t.exist))
+                    .sum();
+                (conf > 0.0 && conf >= qt).then_some((t.id.0, conf))
+            })
+            .collect();
+        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        out
+    }
+
+    fn pairs(rows: &[PtqResult]) -> Vec<(u64, f64)> {
+        rows.iter().map(|r| (r.tuple.id.0, r.confidence)).collect()
+    }
+
+    fn assert_rows(got: &[(u64, f64)], want: &[(u64, f64)], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: {got:?} vs {want:?}");
+        for (a, b) in got.iter().zip(want) {
+            assert_eq!(a.0, b.0, "{what}: {got:?} vs {want:?}");
+            assert!((a.1 - b.1).abs() < 1e-9, "{what}: {got:?} vs {want:?}");
+        }
+    }
+
     fn upi_with(c: f64) -> DiscreteUpi {
         let mut u = DiscreteUpi::create(
             store(),
@@ -1175,21 +1253,21 @@ mod tests {
     fn query1_matches_paper_with_and_without_cutoff_path() {
         let u = upi_with(0.1);
         // QT=0.5 ≥ C: heap only. MIT → Bob (95%).
-        let res = u.ptq(MIT, 0.5).unwrap();
+        let res = ptq(&u, MIT, 0.5);
         assert_eq!(res.len(), 1);
         assert_eq!(res[0].tuple.id, TupleId(2));
         // QT=0.1: Bob + Alice (18%).
-        let res = u.ptq(MIT, 0.1).unwrap();
+        let res = ptq(&u, MIT, 0.1);
         assert_eq!(res.len(), 2);
         assert!((res[0].confidence - 0.95).abs() < 1e-6);
         assert!((res[1].confidence - 0.18).abs() < 1e-6);
         // QT=0.01 < C: the cutoff path must surface Bob's UCB copy.
-        let res = u.ptq(UCB, 0.01).unwrap();
+        let res = ptq(&u, UCB, 0.01);
         assert_eq!(res.len(), 1);
         assert_eq!(res[0].tuple.id, TupleId(2));
         assert!((res[0].confidence - 0.05).abs() < 1e-6);
         // Without the cutoff path (QT ≥ C) the UCB copy is invisible.
-        assert!(u.ptq(UCB, 0.1).unwrap().is_empty());
+        assert!(ptq(&u, UCB, 0.1).is_empty());
     }
 
     #[test]
@@ -1198,7 +1276,7 @@ mod tests {
         // index; every tuple must still be found via pointers.
         let u = upi_with(0.99);
         assert_eq!(u.heap_stats().entries, 3, "only first alternatives");
-        let res = u.ptq(MIT, 0.01).unwrap();
+        let res = ptq(&u, MIT, 0.01);
         assert_eq!(res.len(), 2, "Alice via cutoff pointer, Bob direct");
         let ids: Vec<u64> = res.iter().map(|r| r.tuple.id.0).collect();
         assert!(ids.contains(&1) && ids.contains(&2));
@@ -1208,8 +1286,8 @@ mod tests {
     fn secondary_tailored_equals_untailored_results() {
         let u = upi_with(0.1);
         // Query 3's shape: WHERE Country=US, QT=0.4.
-        let mut tailored = u.ptq_secondary(0, US, 0.4, true).unwrap();
-        let mut plain = u.ptq_secondary(0, US, 0.4, false).unwrap();
+        let mut tailored = sorted(u.secondary_run(0, US, 0.4, true, None).unwrap());
+        let mut plain = sorted(u.secondary_run(0, US, 0.4, false, None).unwrap());
         let key = |r: &PtqResult| (r.tuple.id.0, (r.confidence * 1e6) as u64);
         tailored.sort_by_key(key);
         plain.sort_by_key(key);
@@ -1219,7 +1297,7 @@ mod tests {
             assert!((a.confidence - b.confidence).abs() < 1e-9);
         }
         // Paper's example: US with QT=0.8 returns Bob (100%) and Alice (90%).
-        let res = u.ptq_secondary(0, US, 0.8, true).unwrap();
+        let res = sorted(u.secondary_run(0, US, 0.8, true, None).unwrap());
         let ids: Vec<u64> = res.iter().map(|r| r.tuple.id.0).collect();
         assert_eq!(ids, vec![2, 1]);
     }
@@ -1229,11 +1307,11 @@ mod tests {
         let mut u = upi_with(0.1);
         let bob = table4().remove(1);
         u.delete(&bob).unwrap();
-        assert!(u.ptq(MIT, 0.5).unwrap().is_empty());
-        assert!(u.ptq(UCB, 0.01).unwrap().is_empty());
+        assert!(ptq(&u, MIT, 0.5).is_empty());
+        assert!(ptq(&u, UCB, 0.01).is_empty());
         assert_eq!(u.n_tuples(), 2);
         // Alice's MIT copy is still there.
-        assert_eq!(u.ptq(MIT, 0.1).unwrap().len(), 1);
+        assert_eq!(ptq(&u, MIT, 0.1).len(), 1);
     }
 
     #[test]
@@ -1245,8 +1323,8 @@ mod tests {
         let incr = upi_with(0.1);
         for value in [BROWN, MIT, UCB, UTOKYO] {
             for qt in [0.01, 0.1, 0.5] {
-                let a = bulk.ptq(value, qt).unwrap();
-                let b = incr.ptq(value, qt).unwrap();
+                let a = ptq(&bulk, value, qt);
+                let b = ptq(&incr, value, qt);
                 assert_eq!(a.len(), b.len(), "value={value} qt={qt}");
                 for (x, y) in a.iter().zip(&b) {
                     assert_eq!(x.tuple.id, y.tuple.id);
@@ -1277,27 +1355,23 @@ mod tests {
 
     #[test]
     fn point_run_matches_ptq_in_confidence_order() {
-        // Exercise both regimes: cutoff merge needed (C=0.99 pushes all
-        // non-first alternatives into the cutoff index) and not needed.
+        // Both point cursors against the brute-force answer, in both
+        // regimes: cutoff merge needed (C=0.99 pushes all non-first
+        // alternatives into the cutoff index) and not needed.
         for c in [0.1, 0.99] {
             let u = upi_with(c);
             for value in [BROWN, MIT, UCB, UTOKYO] {
                 for qt in [0.0, 0.01, 0.1, 0.5] {
-                    let batch = u.ptq(value, qt).unwrap();
+                    let want = oracle(1, value, value, qt);
+                    let what = format!("C={c} v={value} qt={qt}");
                     let streamed: Vec<PtqResult> = u
                         .point_run(value, qt, None)
                         .unwrap()
                         .collect::<Result<_>>()
                         .unwrap();
-                    assert_eq!(batch.len(), streamed.len(), "C={c} v={value} qt={qt}");
-                    for (a, b) in batch.iter().zip(&streamed) {
-                        assert_eq!(a.tuple.id, b.tuple.id);
-                        assert!((a.confidence - b.confidence).abs() < 1e-12);
-                    }
-                    // The merge must be confidence-ordered as it streams.
-                    for w in streamed.windows(2) {
-                        assert!(w[0].confidence >= w[1].confidence);
-                    }
+                    // The top-k cursor is confidence-ordered as it streams.
+                    assert_rows(&pairs(&streamed), &want, &format!("point_run {what}"));
+                    assert_rows(&pairs(&ptq(&u, value, qt)), &want, &format!("Alg 2 {what}"));
                 }
             }
         }
@@ -1308,24 +1382,18 @@ mod tests {
         let u = upi_with(0.1);
         for (lo, hi) in [(BROWN, MIT), (BROWN, UTOKYO), (UCB, UTOKYO), (MIT, MIT)] {
             for qt in [0.0, 0.1, 0.4] {
-                let batch = u.ptq_range(lo, hi, qt).unwrap();
-                let mut streamed: Vec<PtqResult> = u
-                    .range_run(lo, hi, qt)
-                    .unwrap()
-                    .collect::<Result<_>>()
-                    .unwrap();
-                crate::exec::sort_results(&mut streamed);
-                assert_eq!(batch.len(), streamed.len(), "[{lo},{hi}] qt={qt}");
-                for (a, b) in batch.iter().zip(&streamed) {
-                    assert_eq!(a.tuple.id, b.tuple.id);
-                    assert!((a.confidence - b.confidence).abs() < 1e-12);
-                }
+                let streamed = sorted(u.range_run(lo, hi, qt).unwrap());
+                assert_rows(
+                    &pairs(&streamed),
+                    &oracle(1, lo, hi, qt),
+                    &format!("[{lo},{hi}] qt={qt}"),
+                );
             }
         }
         // Alternatives must sum: Carol (exist .8) at [US: .6, Japan: .4]
         // on the primary attr {BROWN: .6, UTOKYO: .4} → range over both
         // values has confidence .8 * 1.0 = .8.
-        let all = u.ptq_range(BROWN, UTOKYO, 0.0).unwrap();
+        let all = sorted(u.range_run(BROWN, UTOKYO, 0.0).unwrap());
         let carol = all.iter().find(|r| r.tuple.id.0 == 3).unwrap();
         assert!((carol.confidence - 0.8).abs() < 1e-6);
     }
@@ -1333,7 +1401,7 @@ mod tests {
     #[test]
     fn secondary_run_limit_truncates_to_most_confident() {
         let u = upi_with(0.1);
-        let full = u.ptq_secondary(0, US, 0.0, true).unwrap();
+        let full = sorted(u.secondary_run(0, US, 0.0, true, None).unwrap());
         assert!(full.len() >= 2);
         let mut limited: Vec<PtqResult> = u
             .secondary_run(0, US, 0.0, true, Some(2))
@@ -1369,11 +1437,74 @@ mod tests {
         u.bulk_load(&tuples).unwrap();
         st.go_cold();
         let before = st.disk.stats();
-        let res = u.ptq(2, 0.5).unwrap();
-        assert_eq!(res.len(), 1000);
+        let res = u.cutoff_merge(2, 0.5).unwrap().count();
+        assert_eq!(res, 1000);
         let d = st.disk.stats().since(&before);
         // Root-to-leaf descent plus the initial positioning: a handful of
         // seeks regardless of result size.
         assert!(d.seeks <= 6, "expected ~1 seek, saw {}", d.seeks);
+    }
+
+    /// Table 4 under C = 0.1 with Bob's heap copy (MIT, 95%) deleted out
+    /// from under his live cutoff pointer (UCB, 5%) and his secondary
+    /// entry (US): every pointer to it now dangles.
+    fn dangling() -> DiscreteUpi {
+        let mut u = upi_with(0.1);
+        assert!(u.heap.delete(&keys::entry_key(MIT, 0.95, 2)).unwrap());
+        u
+    }
+
+    fn assert_corrupted(rows: impl Iterator<Item = Result<PtqResult>>, what: &str) {
+        let err = rows
+            .collect::<Result<Vec<_>>>()
+            .expect_err(&format!("{what}: a dangling pointer must be an error"));
+        assert!(
+            matches!(err, StorageError::Corrupted(_)),
+            "{what}: expected Corrupted, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn cutoff_merge_reports_dangling_pointer() {
+        let u = dangling();
+        assert_corrupted(u.cutoff_merge(UCB, 0.01).unwrap(), "cutoff_merge");
+    }
+
+    #[test]
+    fn point_run_reports_dangling_pointer() {
+        let u = dangling();
+        assert_corrupted(u.point_run(UCB, 0.01, None).unwrap(), "point_run");
+    }
+
+    #[test]
+    fn range_run_reports_dangling_pointer() {
+        let u = dangling();
+        assert_corrupted(u.range_run(UCB, UCB, 0.01).unwrap(), "range_run");
+    }
+
+    #[test]
+    fn secondary_run_reports_dangling_pointer() {
+        let u = dangling();
+        for tailored in [true, false] {
+            assert_corrupted(
+                u.secondary_run(0, US, 0.0, tailored, None).unwrap(),
+                "secondary_run",
+            );
+        }
+    }
+
+    #[test]
+    fn cutoff_merge_filters_pointers_before_fetch() {
+        // C=0.99: Alice's MIT alternative is a cutoff pointer. Dropping
+        // her tid skips the pointer without a heap fetch.
+        let u = upi_with(0.99);
+        let mut run = u.cutoff_merge(MIT, 0.01).unwrap();
+        let mut ids = Vec::new();
+        while let Some(r) = run.next_where(&|tid| tid != 1) {
+            ids.push(r.unwrap().tuple.id.0);
+        }
+        assert_eq!(ids, vec![2]);
+        assert_eq!(run.pointer_stats().pointer_fetches, 0);
+        assert_eq!(run.pointer_stats().suppressed, 1);
     }
 }

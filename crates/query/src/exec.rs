@@ -4,14 +4,17 @@
 //! source operator into the sink pipeline (`Filter` is fused into every
 //! source; `TopK`, `GroupCount`, `Project` run at the sink). Every
 //! discrete access path is a true streaming cursor over the B+Tree leaf
-//! chains: `IndexRun`/`CutoffMerge`/`UpiPointMerge` for point probes,
-//! `UpiRange` for clustered range runs, `SecondaryProbe` for (tailored)
-//! secondary access, `FracturedMerge` for fracture-parallel merges, plus
+//! chains, and the point paths run the core crate's two point-PTQ
+//! cursors and nothing else: `CutoffMerge` (Algorithm 2:
+//! `upi::CutoffMerge`) for unbounded probes, `UpiPointMerge`
+//! (`upi::PointRun`, confidence-ordered) for top-k, and `FracturedMerge`
+//! chaining one of them per component. `UpiRange` streams clustered
+//! range runs, `SecondaryProbe` (tailored) secondary access, plus
 //! `PiiProbe` and the two full scans. Sources whose output is
-//! **confidence-ordered** (`UpiPointMerge`, the fractured point merge)
-//! let a top-k sink stop pulling — and therefore stop *reading* — after
-//! k rows. Only the R-Tree circle paths remain batch, delegating to the
-//! owning index structure and feeding rows through the same sinks.
+//! **confidence-ordered** (the top-k point cursors) let a top-k sink stop
+//! pulling — and therefore stop *reading* — after k rows. Only the
+//! R-Tree circle paths remain batch, delegating to the owning index
+//! structure and feeding rows through the same sinks.
 //!
 //! Every execution is observed: the concrete [`SourceOp`] wrapper keeps
 //! per-operator [`CursorStats`], device time is attributed to a
@@ -20,9 +23,7 @@
 //! [`QueryOutput::trace`].
 
 use upi::exec::group_count;
-use upi::{
-    CursorStats, DiscreteUpi, FracturedUpi, HeapRun, HeapScanRun, Pii, PtqResult, UnclusteredHeap,
-};
+use upi::{CursorStats, DiscreteUpi, FracturedUpi, HeapScanRun, Pii, PtqResult, UnclusteredHeap};
 use upi_storage::codec::{dequantize_prob, quantize_prob};
 use upi_storage::error::Result as StorageResult;
 use upi_storage::{IoStats, PoolCounters, QueryId};
@@ -125,109 +126,6 @@ impl QueryOutput {
 // ---------------------------------------------------------------------------
 // Streaming source operators
 // ---------------------------------------------------------------------------
-
-/// `IndexRun` — streams one value's UPI heap run (seek + sequential).
-pub struct IndexRun<'a> {
-    inner: HeapRun<'a>,
-}
-
-impl<'a> IndexRun<'a> {
-    /// Open the run for `value` at threshold `qt`.
-    pub fn open(upi: &'a DiscreteUpi, value: u64, qt: f64) -> StorageResult<IndexRun<'a>> {
-        Ok(IndexRun {
-            inner: upi.heap_run(value, qt)?,
-        })
-    }
-
-    /// Cursor counters accumulated so far.
-    pub fn stats(&self) -> CursorStats {
-        self.inner.stats()
-    }
-}
-
-impl Iterator for IndexRun<'_> {
-    type Item = Result<PtqResult, QueryError>;
-    fn next(&mut self) -> Option<Self::Item> {
-        Some(self.inner.next()?.map_err(QueryError::from))
-    }
-}
-
-/// `CutoffMerge` — drains the heap run, then dereferences the qualifying
-/// cutoff pointers in heap (physical) order, lazily: Algorithm 2 as a
-/// streaming operator.
-pub struct CutoffMerge<'a> {
-    run: Option<IndexRun<'a>>,
-    upi: &'a DiscreteUpi,
-    /// `(first_value, first_prob, tid, confidence)` in heap key order.
-    pending: std::vec::IntoIter<(u64, f64, u64, f64)>,
-    /// Heap-run counters, harvested when the run phase ends.
-    run_stats: CursorStats,
-    /// Pointer-phase counters (fetches + rows emitted from pointers).
-    ptr_stats: CursorStats,
-}
-
-impl<'a> CutoffMerge<'a> {
-    /// Open over `upi` for a point PTQ `(value, qt)`; reads the cutoff
-    /// index eagerly (it is a compact pointer list) but fetches heap
-    /// targets lazily.
-    pub fn open(
-        upi: &'a DiscreteUpi,
-        value: u64,
-        qt: f64,
-        use_cutoff: bool,
-    ) -> StorageResult<CutoffMerge<'a>> {
-        let run = IndexRun::open(upi, value, qt)?;
-        let mut pointers = Vec::new();
-        if use_cutoff {
-            for cp in upi.cutoff_index().scan(value, qt)? {
-                pointers.push((cp.first_value, cp.first_prob, cp.tid, cp.prob));
-            }
-            // Visit heap targets in physical (key) order.
-            pointers.sort_unstable_by_key(|&(v, p, tid, _)| (v, u32::MAX - quantize_prob(p), tid));
-        }
-        Ok(CutoffMerge {
-            run: Some(run),
-            upi,
-            pending: pointers.into_iter(),
-            run_stats: CursorStats::default(),
-            ptr_stats: CursorStats::default(),
-        })
-    }
-
-    fn heap_run_stats(&self) -> CursorStats {
-        match &self.run {
-            Some(run) => run.stats(),
-            None => self.run_stats,
-        }
-    }
-}
-
-impl Iterator for CutoffMerge<'_> {
-    type Item = Result<PtqResult, QueryError>;
-    fn next(&mut self) -> Option<Self::Item> {
-        if let Some(run) = &mut self.run {
-            match run.next() {
-                Some(item) => return Some(item),
-                None => {
-                    self.run_stats = run.stats();
-                    self.run = None;
-                }
-            }
-        }
-        let (v, p, tid, confidence) = self.pending.next()?;
-        self.ptr_stats.pointer_fetches += 1;
-        match self.upi.fetch_by_pointer(v, p, tid) {
-            Ok(Some(tuple)) => {
-                self.ptr_stats.rows += 1;
-                Some(Ok(PtqResult { tuple, confidence }))
-            }
-            Ok(None) => Some(Err(QueryError::CatalogMismatch {
-                missing: format!("heap copy for cutoff pointer ({v}, {p}, {tid})"),
-            })),
-            Err(e) => Some(Err(e.into())),
-        }
-    }
-}
 
 /// `PiiProbe` — streams the inverted list, then fetches qualifying tuples
 /// from the unclustered heap in tid (bitmap) order, lazily.
@@ -400,111 +298,10 @@ impl Iterator for UpiFullScan<'_> {
     }
 }
 
-/// `UpiPointMerge` — confidence-ordered merge of the UPI heap run with
-/// the (lazily consulted) cutoff list. The stream is
-/// `{confidence DESC, tid ASC}`-ordered, so the top-k sink terminates it
-/// early without reading the tail of the run or dereferencing unneeded
-/// cutoff pointers.
-pub struct UpiPointMerge<'a> {
-    inner: upi::PointRun<'a>,
-}
-
-impl<'a> UpiPointMerge<'a> {
-    /// Open for a point PTQ `(value, qt)`; `limit` bounds the cutoff-list
-    /// read for top-k queries.
-    pub fn open(
-        upi: &'a DiscreteUpi,
-        value: u64,
-        qt: f64,
-        limit: Option<usize>,
-    ) -> StorageResult<UpiPointMerge<'a>> {
-        Ok(UpiPointMerge {
-            inner: upi.point_run(value, qt, limit)?,
-        })
-    }
-
-    /// Cursor counters accumulated so far (merge + live heap run).
-    pub fn stats(&self) -> CursorStats {
-        self.inner.stats()
-    }
-}
-
-impl Iterator for UpiPointMerge<'_> {
-    type Item = Result<PtqResult, QueryError>;
-    fn next(&mut self) -> Option<Self::Item> {
-        Some(self.inner.next()?.map_err(QueryError::from))
-    }
-}
-
-/// `UpiRange` — streams the clustered range run: one seek, one
-/// sequential pass over the heap emitting each qualifying tuple at its
-/// first in-range copy, then the cutoff index for tuples whose in-range
-/// mass is entirely below-cutoff. Pages stream through the buffer pool
-/// (and its read-ahead) instead of being materialized as a batch.
-pub struct UpiRange<'a> {
-    inner: upi::RangeRun<'a>,
-}
-
-impl<'a> UpiRange<'a> {
-    /// Open for a range PTQ `[lo, hi]` at threshold `qt`.
-    pub fn open(upi: &'a DiscreteUpi, lo: u64, hi: u64, qt: f64) -> StorageResult<UpiRange<'a>> {
-        Ok(UpiRange {
-            inner: upi.range_run(lo, hi, qt)?,
-        })
-    }
-
-    /// Cursor counters accumulated so far.
-    pub fn stats(&self) -> CursorStats {
-        self.inner.stats()
-    }
-}
-
-impl Iterator for UpiRange<'_> {
-    type Item = Result<PtqResult, QueryError>;
-    fn next(&mut self) -> Option<Self::Item> {
-        Some(self.inner.next()?.map_err(QueryError::from))
-    }
-}
-
-/// `SecondaryProbe` — streaming (tailored) secondary-index access: the
-/// compact entry run fixes the pointer choices (at most `limit` entries
-/// are read for a top-k query, since the entry run is confidence-
-/// ordered), then heap tuples are fetched lazily in heap (bitmap) order.
-pub struct SecondaryProbe<'a> {
-    inner: upi::SecondaryRun<'a>,
-}
-
-impl<'a> SecondaryProbe<'a> {
-    /// Open probe #`index` of `upi` for `(value, qt)`.
-    pub fn open(
-        upi: &'a DiscreteUpi,
-        index: usize,
-        value: u64,
-        qt: f64,
-        tailored: bool,
-        limit: Option<usize>,
-    ) -> StorageResult<SecondaryProbe<'a>> {
-        Ok(SecondaryProbe {
-            inner: upi.secondary_run(index, value, qt, tailored, limit)?,
-        })
-    }
-
-    /// Cursor counters accumulated so far.
-    pub fn stats(&self) -> CursorStats {
-        self.inner.stats()
-    }
-}
-
-impl Iterator for SecondaryProbe<'_> {
-    type Item = Result<PtqResult, QueryError>;
-    fn next(&mut self) -> Option<Self::Item> {
-        Some(self.inner.next()?.map_err(QueryError::from))
-    }
-}
-
 /// Which fractured merge is running (streams are per-component).
 enum FracturedKind<'a> {
-    /// Confidence-ordered k-way point merge.
+    /// Point merge: Algorithm 2 chained per component, or (top-k) the
+    /// confidence-ordered k-way merge.
     Point(upi::FracturedPointRun<'a>),
     /// Chained per-component range runs.
     Range(upi::FracturedRangeRun<'a>),
@@ -514,11 +311,11 @@ enum FracturedKind<'a> {
 
 /// `FracturedMerge` — the fracture-parallel merge cursor: one streaming
 /// run per on-disk component plus the insert buffer, with delete-set
-/// suppression applied *before* pointer dereferences. Point probes merge
-/// confidence-ordered (k-way, early-terminating, and — given a top-k
-/// `limit` — watermark-bounded: each component's cutoff scan stops once
-/// its next candidate falls below the running k-th confidence); range
-/// and secondary probes chain per-component runs and let the sink sort.
+/// suppression applied *before* pointer dereferences. Top-k point probes
+/// merge confidence-ordered (k-way, early-terminating, watermark-bounded:
+/// each component's cutoff scan stops once its next candidate falls
+/// below the running k-th confidence); unbounded point, range and
+/// secondary probes chain per-component runs and let the sink sort.
 pub struct FracturedMerge<'a> {
     kind: FracturedKind<'a>,
     /// Rows this merge handed to its consumer (component streams count
@@ -528,10 +325,11 @@ pub struct FracturedMerge<'a> {
 }
 
 impl<'a> FracturedMerge<'a> {
-    /// Open a point merge for `(value, qt)`; `limit = Some(k)` bounds
-    /// each component's cutoff scan with the merge-wide k-th-confidence
-    /// watermark (only the first k rows of the stream are then
-    /// guaranteed — exactly what the top-k sink consumes).
+    /// Open a point merge for `(value, qt)`: Algorithm 2 per component
+    /// when `limit` is `None`; with `Some(k)` the confidence-ordered
+    /// merge whose component cutoff scans stop at the merge-wide
+    /// k-th-confidence watermark (only the first k rows of the stream
+    /// are then guaranteed — exactly what the top-k sink consumes).
     pub fn point(
         f: &'a FracturedUpi,
         value: u64,
@@ -582,6 +380,12 @@ impl<'a> FracturedMerge<'a> {
             FracturedKind::Secondary(run) => run.component_stats(),
         }
     }
+
+    /// Whether rows stream in canonical result order (only the top-k
+    /// point merge does).
+    fn is_ordered(&self) -> bool {
+        matches!(&self.kind, FracturedKind::Point(run) if run.is_ordered())
+    }
 }
 
 impl Iterator for FracturedMerge<'_> {
@@ -625,16 +429,19 @@ impl Iterator for BatchRows {
 /// [`CursorStats`] **after** the row loop finishes — the trace needs the
 /// cursors alive once iteration is done.
 pub enum SourceOp<'a> {
-    /// Plain UPI heap run.
-    IndexRun(IndexRun<'a>),
-    /// Heap run + lazy cutoff-pointer dereference (Algorithm 2).
-    CutoffMerge(CutoffMerge<'a>),
-    /// Confidence-ordered point merge (early-terminating).
-    UpiPointMerge(UpiPointMerge<'a>),
-    /// Streaming clustered range run.
-    UpiRange(UpiRange<'a>),
-    /// (Tailored) secondary probe.
-    SecondaryProbe(SecondaryProbe<'a>),
+    /// Heap run + cutoff-pointer dereference in heap order (Algorithm 2).
+    CutoffMerge(upi::CutoffMerge<'a>),
+    /// Confidence-ordered point merge of the heap run with the lazily
+    /// consulted cutoff list; the top-k sink terminates it after k rows.
+    UpiPointMerge(upi::PointRun<'a>),
+    /// Streaming clustered range run: one seek, one sequential pass
+    /// emitting each tuple at its first in-range copy, then the cutoff
+    /// index for tuples whose in-range mass is entirely below-cutoff.
+    UpiRange(upi::RangeRun<'a>),
+    /// (Tailored) secondary probe: the compact entry run fixes the
+    /// pointer choices (at most `limit` entries for a top-k query), then
+    /// heap tuples are fetched lazily in heap (bitmap) order.
+    SecondaryProbe(upi::SecondaryRun<'a>),
     /// Fracture-parallel merge.
     Fractured(FracturedMerge<'a>),
     /// Inverted-list probe + bitmap heap fetch.
@@ -650,12 +457,12 @@ pub enum SourceOp<'a> {
 impl Iterator for SourceOp<'_> {
     type Item = Result<PtqResult, QueryError>;
     fn next(&mut self) -> Option<Self::Item> {
+        let core = |r: Option<StorageResult<PtqResult>>| r.map(|r| r.map_err(QueryError::from));
         match self {
-            SourceOp::IndexRun(op) => op.next(),
-            SourceOp::CutoffMerge(op) => op.next(),
-            SourceOp::UpiPointMerge(op) => op.next(),
-            SourceOp::UpiRange(op) => op.next(),
-            SourceOp::SecondaryProbe(op) => op.next(),
+            SourceOp::CutoffMerge(op) => core(op.next()),
+            SourceOp::UpiPointMerge(op) => core(op.next()),
+            SourceOp::UpiRange(op) => core(op.next()),
+            SourceOp::SecondaryProbe(op) => core(op.next()),
             SourceOp::Fractured(op) => op.next(),
             SourceOp::PiiProbe(op) => op.next(),
             SourceOp::HeapScan(op) => op.next(),
@@ -670,12 +477,9 @@ impl SourceOp<'_> {
     /// depth, counters)`, pre-order, depth 0 = the source root.
     pub fn spans(&self) -> Vec<(String, usize, CursorStats)> {
         match self {
-            SourceOp::IndexRun(op) => {
-                vec![("IndexRun(upi.heap)".into(), 0, op.stats())]
-            }
             SourceOp::CutoffMerge(op) => {
-                let run = op.heap_run_stats();
-                let ptr = op.ptr_stats;
+                let run = op.run_stats();
+                let ptr = op.pointer_stats();
                 vec![
                     ("CutoffMerge".into(), 0, run.merged(ptr)),
                     ("IndexRun(upi.heap)".into(), 1, run),
@@ -711,8 +515,11 @@ impl SourceOp<'_> {
                 // The merge's own emit count, not the sum of component
                 // pulls (early termination pulls more than it emits).
                 parent.rows = op.emitted;
-                let label = match op.kind {
-                    FracturedKind::Point(_) => "FracturedMerge(point, k-way confidence-ordered)",
+                let label = match &op.kind {
+                    FracturedKind::Point(run) if run.is_ordered() => {
+                        "FracturedMerge(point, k-way confidence-ordered)"
+                    }
+                    FracturedKind::Point(_) => "FracturedMerge(point, Algorithm 2 per component)",
                     FracturedKind::Range(_) => "FracturedMerge(range, streaming per component)",
                     FracturedKind::Secondary(_) => {
                         "FracturedMerge(secondary, suppress-before-fetch)"
@@ -856,7 +663,7 @@ fn open_source<'a>(
         )
     };
     Ok(match path {
-        AccessPath::UpiHeap { use_cutoff } => {
+        AccessPath::UpiHeap { .. } => {
             let upi = need(catalog.upi, "the discrete UPI")?;
             let (_, value) = eq_params(q)?;
             if let Some(k) = q.top_k {
@@ -864,23 +671,19 @@ fn open_source<'a>(
                 // confidence order, so the sink stops the run (and the
                 // cutoff fetches) after k rows.
                 (
-                    SourceOp::UpiPointMerge(UpiPointMerge::open(upi, value, q.qt, Some(k))?),
+                    SourceOp::UpiPointMerge(upi.point_run(value, q.qt, Some(k))?),
                     true,
                 )
             } else {
-                (
-                    SourceOp::CutoffMerge(CutoffMerge::open(upi, value, q.qt, *use_cutoff)?),
-                    false,
-                )
+                // The cursor consults the cutoff index iff `qt < C`,
+                // the same test that set the plan's `use_cutoff`.
+                (SourceOp::CutoffMerge(upi.cutoff_merge(value, q.qt)?), false)
             }
         }
         AccessPath::UpiRange => {
             let upi = need(catalog.upi, "the discrete UPI")?;
             let (lo, hi) = range_params(q, "UpiRange")?;
-            (
-                SourceOp::UpiRange(UpiRange::open(upi, lo, hi, q.qt)?),
-                false,
-            )
+            (SourceOp::UpiRange(upi.range_run(lo, hi, q.qt)?), false)
         }
         AccessPath::UpiSecondary { index, tailored } => {
             let upi = need(catalog.upi, "the discrete UPI")?;
@@ -891,19 +694,18 @@ fn open_source<'a>(
             }
             let (_, value) = eq_params(q)?;
             (
-                SourceOp::SecondaryProbe(SecondaryProbe::open(
-                    upi, *index, value, q.qt, *tailored, q.top_k,
-                )?),
+                SourceOp::SecondaryProbe(
+                    upi.secondary_run(*index, value, q.qt, *tailored, q.top_k)?,
+                ),
                 false,
             )
         }
         AccessPath::FracturedProbe => {
             let f = need(catalog.fractured, "the fractured UPI")?;
             let (_, value) = eq_params(q)?;
-            (
-                SourceOp::Fractured(FracturedMerge::point(f, value, q.qt, q.top_k)?),
-                true,
-            )
+            let merge = FracturedMerge::point(f, value, q.qt, q.top_k)?;
+            let ordered = merge.is_ordered();
+            (SourceOp::Fractured(merge), ordered)
         }
         AccessPath::FracturedRange => {
             let f = need(catalog.fractured, "the fractured UPI")?;

@@ -36,15 +36,18 @@
 //!    executed query records an `(estimated, observed)` sample and
 //!    [`UncertainDb::recalibrate`] refits.
 //! 3. **The executor** ([`PhysicalPlan::execute`]) — iterator-based
-//!    streaming operators (`IndexRun`, `CutoffMerge`, `UpiPointMerge`,
-//!    `UpiRange`, `SecondaryProbe`, `FracturedMerge`, `PiiProbe`,
-//!    `HeapScan`, `Filter`, `TopK`, `GroupCount`, `Project`) over the
-//!    streaming cursors the index crates expose
-//!    (`DiscreteUpi::{heap_run, point_run, range_run, secondary_run}`,
+//!    streaming operators (`CutoffMerge`, `UpiPointMerge`, `UpiRange`,
+//!    `SecondaryProbe`, `FracturedMerge`, `PiiProbe`, `HeapScan`,
+//!    `Filter`, `TopK`, `GroupCount`, `Project`) over the streaming
+//!    cursors the index crates expose
+//!    (`DiscreteUpi::{cutoff_merge, point_run, range_run, secondary_run}`,
 //!    `FracturedUpi::{ptq_run, range_run, secondary_run}`,
-//!    `Pii::matching_run`, `UnclusteredHeap::scan_run`). Point probes
-//!    stream **confidence-ordered**, so top-k queries terminate the
-//!    source — and its I/O — after k rows (the fractured point merge
+//!    `Pii::matching_run`, `UnclusteredHeap::scan_run`). Each point-PTQ
+//!    behaviour has one cursor: unbounded probes run Algorithm 2
+//!    (`cutoff_merge`: heap run, then cutoff pointers fetched in heap
+//!    order; per component on a fractured UPI), and top-k probes stream
+//!    **confidence-ordered** (`point_run`), so they terminate the
+//!    source — and its I/O — after k rows (the fractured top-k merge
 //!    additionally maintains a running k-th-confidence *watermark* that
 //!    stops each component's cutoff scan once its next candidate cannot
 //!    qualify); range and secondary probes stream page-at-a-time through
@@ -82,10 +85,10 @@
 //! benchmarks measure, so `planner_vs_forced` can directly check the
 //! planner's choice against ground truth.
 //!
-//! ## Compatibility
+//! ## Re-exports
 //!
-//! The pre-planner helpers (`group_count`, `top_k`, `PtqResult`) remain in
-//! `upi::exec` and are re-exported here unchanged.
+//! The result type and aggregate helper (`PtqResult`, `group_count`)
+//! live in `upi::exec` and are re-exported here.
 
 pub mod catalog;
 pub mod cost;
@@ -110,5 +113,4 @@ pub use query::{Predicate, PtqQuery};
 pub use session::{MaintenanceReport, MaintenanceSummary, UncertainDb};
 pub use sharded::ShardedDb;
 
-// Re-exported for compatibility with pre-planner code paths.
-pub use upi::exec::{group_count, top_k, PtqResult};
+pub use upi::exec::{group_count, PtqResult};

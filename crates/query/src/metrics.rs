@@ -134,18 +134,6 @@ pub struct MetricsRegistry {
     query_device_ms: f64,
 }
 
-fn add_counters(acc: &mut PoolCounters, d: &PoolCounters) {
-    acc.hits += d.hits;
-    acc.misses += d.misses;
-    acc.evictions += d.evictions;
-    acc.readahead += d.readahead;
-    acc.readahead_hits += d.readahead_hits;
-    acc.hinted_runs += d.hinted_runs;
-    acc.flush_errors += d.flush_errors;
-    acc.flush_retries += d.flush_retries;
-    acc.readahead_wasted += d.readahead_wasted;
-}
-
 impl MetricsRegistry {
     /// Fresh registry with unit calibration scales.
     pub fn new() -> MetricsRegistry {
@@ -173,7 +161,7 @@ impl MetricsRegistry {
         }
         self.rows += rows;
         if let Some(d) = io {
-            add_counters(&mut self.io, d);
+            self.io = self.io.merged(d);
             if d.flush_errors > 0 {
                 self.flush_error_queries += 1;
             }

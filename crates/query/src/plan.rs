@@ -376,11 +376,14 @@ fn operator_tree(q: &PtqQuery, path: &AccessPath) -> Vec<String> {
                 "first-pointer"
             }
         )],
-        AccessPath::FracturedProbe => {
+        AccessPath::FracturedProbe if q.top_k.is_some() => {
             vec![
                 "FracturedMerge(point, k-way confidence-ordered, main + fractures + buffer)"
                     .to_string(),
             ]
+        }
+        AccessPath::FracturedProbe => {
+            vec!["FracturedMerge(point, Algorithm 2 per component + buffer)".to_string()]
         }
         AccessPath::FracturedRange => {
             vec!["FracturedMerge(range, streaming per component + buffer)".to_string()]

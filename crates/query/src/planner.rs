@@ -848,11 +848,19 @@ mod tests {
 
         let q = PtqQuery::eq(1, 2).with_qt(0.2);
         let out = q.run(&catalog).unwrap();
-        let direct = upi.ptq(2, 0.2).unwrap();
-        assert_eq!(out.rows.len(), direct.len());
-        for (a, b) in out.rows.iter().zip(&direct) {
-            assert_eq!(a.tuple.id, b.tuple.id);
-            assert!((a.confidence - b.confidence).abs() < 1e-12);
+        // Brute force over the source tuples, on the key grid.
+        let grid =
+            |p: f64| upi_storage::codec::dequantize_prob(upi_storage::codec::quantize_prob(p));
+        let mut want: Vec<(u64, f64)> = tuples
+            .iter()
+            .map(|t| (t.id.0, grid(t.confidence_eq(1, 2))))
+            .filter(|&(_, c)| c >= 0.2)
+            .collect();
+        want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        assert_eq!(out.rows.len(), want.len());
+        for (a, b) in out.rows.iter().zip(&want) {
+            assert_eq!(a.tuple.id.0, b.0);
+            assert!((a.confidence - b.1).abs() < 1e-12);
         }
 
         // Projection keeps ids/confidences but narrows fields.

@@ -61,53 +61,19 @@ use crate::plan::{AccessPath, PhysicalPlan};
 use crate::query::{Predicate, PtqQuery};
 use crate::session::UncertainDb;
 
-/// Component-wise sum of two attributed device windows.
-fn add_stats(a: IoStats, b: &IoStats) -> IoStats {
-    IoStats {
-        page_reads: a.page_reads + b.page_reads,
-        page_writes: a.page_writes + b.page_writes,
-        seeks: a.seeks + b.seeks,
-        bytes_read: a.bytes_read + b.bytes_read,
-        bytes_written: a.bytes_written + b.bytes_written,
-        file_opens: a.file_opens + b.file_opens,
-        seek_ms: a.seek_ms + b.seek_ms,
-        read_ms: a.read_ms + b.read_ms,
-        write_ms: a.write_ms + b.write_ms,
-        init_ms: a.init_ms + b.init_ms,
-    }
-}
-
-/// Component-wise sum of two pool-counter deltas.
-fn add_counters(a: PoolCounters, b: &PoolCounters) -> PoolCounters {
-    PoolCounters {
-        hits: a.hits + b.hits,
-        misses: a.misses + b.misses,
-        evictions: a.evictions + b.evictions,
-        readahead: a.readahead + b.readahead,
-        readahead_hits: a.readahead_hits + b.readahead_hits,
-        hinted_runs: a.hinted_runs + b.hinted_runs,
-        flush_errors: a.flush_errors + b.flush_errors,
-        flush_retries: a.flush_retries + b.flush_retries,
-        readahead_wasted: a.readahead_wasted + b.readahead_wasted,
-    }
-}
-
-/// The gather merge's total, explicit order: confidence descending,
-/// then ascending tuple id, then ascending shard index. Tuple ids are
-/// globally unique (id routing), so the shard key never actually
-/// decides — it exists so the order is *stated* to be total and stable,
-/// and `total_cmp` keeps the comparison panic-free even on NaN.
+/// The gather merge's total, explicit order: the canonical result order
+/// ([`upi::result_cmp`]: confidence descending, then ascending tuple id),
+/// then ascending shard index. Tuple ids are globally unique (id
+/// routing), so the shard key never actually decides — it exists so the
+/// order is *stated* to be total and stable.
 fn merge_cmp(a: &(usize, PtqResult), b: &(usize, PtqResult)) -> std::cmp::Ordering {
-    b.1.confidence
-        .total_cmp(&a.1.confidence)
-        .then_with(|| a.1.tuple.id.cmp(&b.1.tuple.id))
-        .then_with(|| a.0.cmp(&b.0))
+    upi::result_cmp(&a.1, &b.1).then_with(|| a.0.cmp(&b.0))
 }
 
 /// A confidence-ordered per-shard cursor on the top-k fast path.
 enum ShardCursor<'a> {
     /// Clustered UPI point merge (heap run + lazy cutoff).
-    Upi(upi::PointRun<'a>),
+    Upi(Box<upi::PointRun<'a>>),
     /// Fractured point merge; the global watermark is pushed in through
     /// [`raise_conf_floor`](upi::FracturedPointRun::raise_conf_floor).
     Frac(upi::FracturedPointRun<'a>),
@@ -185,7 +151,7 @@ fn open_fast_cursor<'a>(
                 pool.hint_run(hint);
             }
             match upi.point_run(value, qt, Some(k)) {
-                Ok(run) => Ok(Some(ShardCursor::Upi(run))),
+                Ok(run) => Ok(Some(ShardCursor::Upi(Box::new(run)))),
                 Err(e) => {
                     for hint in hints {
                         pool.clear_hint(hint.start_page);
@@ -828,7 +794,7 @@ impl ShardedDb {
             let shard_device = match (&o.fallback_device, &o.plan) {
                 // Fallback shards attributed their execution to their own
                 // inner window; the outer slot holds only plan-time I/O.
-                (Some(d), _) => add_stats(attributed, d),
+                (Some(d), _) => attributed.merged(d),
                 (None, Some(plan)) => {
                     s.note_external_execution(
                         &plan.candidates[0].cost,
@@ -854,9 +820,9 @@ impl ShardedDb {
                 span.est_ms = Some(plan.est_ms());
             }
             spans.push(span);
-            io = add_counters(io, &shard_io);
+            io = io.merged(&shard_io);
             latency_ms = latency_ms.max(shard_device.total_ms());
-            device = add_stats(device, &shard_device);
+            device = device.merged(&shard_device);
             if degraded.is_none() {
                 degraded = pools[i].degraded();
             }
@@ -959,12 +925,12 @@ impl ShardedDb {
                 1,
             );
             if let Some(io_i) = &out.io {
-                io = add_counters(io, io_i);
+                io = io.merged(io_i);
                 span.demand_pages = Some(io_i.demand_pages());
                 span.prefetch_pages = Some(io_i.sequential_pages());
             }
             if let Some(d) = &out.device {
-                device = add_stats(device, d);
+                device = device.merged(d);
                 latency_ms = latency_ms.max(d.total_ms());
                 span.device_ms = Some(d.total_ms());
             }

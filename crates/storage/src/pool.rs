@@ -111,6 +111,21 @@ impl PoolCounters {
             readahead_wasted: self.readahead_wasted - earlier.readahead_wasted,
         }
     }
+
+    /// Component-wise sum (`self + other`).
+    pub fn merged(&self, other: &PoolCounters) -> PoolCounters {
+        PoolCounters {
+            hits: self.hits + other.hits,
+            misses: self.misses + other.misses,
+            evictions: self.evictions + other.evictions,
+            readahead: self.readahead + other.readahead,
+            readahead_hits: self.readahead_hits + other.readahead_hits,
+            hinted_runs: self.hinted_runs + other.hinted_runs,
+            flush_errors: self.flush_errors + other.flush_errors,
+            flush_retries: self.flush_retries + other.flush_retries,
+            readahead_wasted: self.readahead_wasted + other.readahead_wasted,
+        }
+    }
 }
 
 impl std::fmt::Display for PoolCounters {

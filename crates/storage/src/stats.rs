@@ -53,6 +53,23 @@ impl IoStats {
             init_ms: self.init_ms - earlier.init_ms,
         }
     }
+
+    /// Component-wise sum (`self + other`); used to total the attributed
+    /// windows of several devices, e.g. the shards of one query.
+    pub fn merged(&self, other: &IoStats) -> IoStats {
+        IoStats {
+            page_reads: self.page_reads + other.page_reads,
+            page_writes: self.page_writes + other.page_writes,
+            seeks: self.seeks + other.seeks,
+            bytes_read: self.bytes_read + other.bytes_read,
+            bytes_written: self.bytes_written + other.bytes_written,
+            file_opens: self.file_opens + other.file_opens,
+            seek_ms: self.seek_ms + other.seek_ms,
+            read_ms: self.read_ms + other.read_ms,
+            write_ms: self.write_ms + other.write_ms,
+            init_ms: self.init_ms + other.init_ms,
+        }
+    }
 }
 
 impl std::fmt::Display for IoStats {

@@ -11,7 +11,8 @@
 use std::sync::Arc;
 
 use upi::exec::group_count;
-use upi::{DiscreteUpi, Pii, UnclusteredHeap, UpiConfig};
+use upi::{DiscreteUpi, Pii, PtqResult, UnclusteredHeap, UpiConfig};
+use upi_storage::error::Result;
 use upi_storage::{DiskConfig, SimDisk, Store};
 use upi_workloads::dblp::{self, author_fields, publication_fields, DblpConfig};
 
@@ -21,6 +22,11 @@ fn timed<T>(store: &Store, label: &str, f: impl FnOnce() -> T) -> T {
     let out = f();
     println!("  {label}: {:.0} simulated ms", store.disk.clock_ms() - t0);
     out
+}
+
+/// Drain a streaming UPI cursor into its rows.
+fn rows(cursor: Result<impl Iterator<Item = Result<PtqResult>>>) -> Vec<PtqResult> {
+    cursor.unwrap().collect::<Result<_>>().unwrap()
 }
 
 fn main() {
@@ -64,7 +70,7 @@ fn main() {
         pii.ptq(&heap, mit, 0.3).unwrap()
     });
     let b = timed(&store, "UPI                    ", || {
-        upi.ptq(mit, 0.3).unwrap()
+        rows(upi.cutoff_merge(mit, 0.3))
     });
     assert_eq!(a.len(), b.len());
     println!("  -> {} qualifying authors", b.len());
@@ -107,7 +113,11 @@ fn main() {
         .unwrap()
     });
     let g2 = timed(&store, "UPI                    ", || {
-        group_count(&pub_upi.ptq(mit, 0.3).unwrap(), publication_fields::JOURNAL).unwrap()
+        group_count(
+            &rows(pub_upi.cutoff_merge(mit, 0.3)),
+            publication_fields::JOURNAL,
+        )
+        .unwrap()
     });
     assert_eq!(g1, g2);
     println!("  -> {} journals in the answer", g2.len());
@@ -122,14 +132,14 @@ fn main() {
     });
     let g4 = timed(&store, "UPI secondary (plain)   ", || {
         group_count(
-            &pub_upi.ptq_secondary(0, japan, 0.3, false).unwrap(),
+            &rows(pub_upi.secondary_run(0, japan, 0.3, false, None)),
             publication_fields::JOURNAL,
         )
         .unwrap()
     });
     let g5 = timed(&store, "UPI secondary (tailored)", || {
         group_count(
-            &pub_upi.ptq_secondary(0, japan, 0.3, true).unwrap(),
+            &rows(pub_upi.secondary_run(0, japan, 0.3, true, None)),
             publication_fields::JOURNAL,
         )
         .unwrap()

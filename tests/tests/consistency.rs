@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use upi::{DiscreteUpi, FracturedConfig, FracturedUpi, Pii, UnclusteredHeap, UpiConfig};
 use upi_storage::{DiskConfig, SimDisk, Store};
+use upi_tests::drain_sorted;
 use upi_uncertain::Tuple;
 use upi_workloads::dblp::{self, author_fields, DblpConfig};
 
@@ -110,10 +111,11 @@ fn every_access_path_agrees_on_dblp() {
             let via_pii = results_to_pairs(&pii.ptq(&heap, value, qt).unwrap());
             assert_eq!(via_pii, truth, "PII value={value} qt={qt}");
             for (i, u) in upis.iter().enumerate() {
-                let got = results_to_pairs(&u.ptq(value, qt).unwrap());
+                let got = results_to_pairs(&drain_sorted(u.cutoff_merge(value, qt).unwrap()));
                 assert_eq!(got, truth, "UPI#{i} value={value} qt={qt}");
             }
-            let via_fr = results_to_pairs(&fractured.ptq(value, qt).unwrap());
+            let via_fr =
+                results_to_pairs(&drain_sorted(fractured.ptq_run(value, qt, None).unwrap()));
             assert_eq!(via_fr, truth, "fractured value={value} qt={qt}");
         }
     }
@@ -142,8 +144,12 @@ fn secondary_paths_agree_with_truth() {
         for qt in [0.05, 0.3, 0.7] {
             let truth = scan_truth(tuples, author_fields::COUNTRY, country, qt);
             let a = results_to_pairs(&pii_country.ptq(&heap, country, qt).unwrap());
-            let b = results_to_pairs(&upi.ptq_secondary(0, country, qt, false).unwrap());
-            let c = results_to_pairs(&upi.ptq_secondary(0, country, qt, true).unwrap());
+            let b = results_to_pairs(&drain_sorted(
+                upi.secondary_run(0, country, qt, false, None).unwrap(),
+            ));
+            let c = results_to_pairs(&drain_sorted(
+                upi.secondary_run(0, country, qt, true, None).unwrap(),
+            ));
             assert_eq!(a, truth, "pii country={country} qt={qt}");
             assert_eq!(b, truth, "plain country={country} qt={qt}");
             assert_eq!(c, truth, "tailored country={country} qt={qt}");
@@ -166,11 +172,14 @@ fn upi_incremental_equals_bulk_on_workload() {
     assert_eq!(bulk.cutoff_index().len(), incr.cutoff_index().len());
     for value in [data.popular_institution(), 5, 42] {
         for qt in [0.02, 0.2, 0.6] {
-            assert_eq!(
-                results_to_pairs(&bulk.ptq(value, qt).unwrap()),
-                results_to_pairs(&incr.ptq(value, qt).unwrap()),
-                "value={value} qt={qt}"
-            );
+            let truth = scan_truth(&data.authors, attr, value, qt);
+            for (name, u) in [("bulk", &bulk), ("incremental", &incr)] {
+                assert_eq!(
+                    results_to_pairs(&drain_sorted(u.cutoff_merge(value, qt).unwrap())),
+                    truth,
+                    "{name} value={value} qt={qt}"
+                );
+            }
         }
     }
 }
@@ -202,6 +211,9 @@ fn deletes_propagate_through_every_path() {
     for qt in [0.05, 0.3] {
         let truth = scan_truth(&remaining, attr, value, qt);
         assert_eq!(results_to_pairs(&pii.ptq(&heap, value, qt).unwrap()), truth);
-        assert_eq!(results_to_pairs(&upi.ptq(value, qt).unwrap()), truth);
+        assert_eq!(
+            results_to_pairs(&drain_sorted(upi.cutoff_merge(value, qt).unwrap())),
+            truth
+        );
     }
 }

@@ -83,7 +83,7 @@ fn cutoff_runtime_estimate_tracks_measurement() {
     upi.bulk_load(&data.authors).unwrap();
     for qt in [0.05, 0.15, 0.4] {
         let est = estimate_query_cutoff_ms(st.disk.config(), &upi, key, qt);
-        let real = measure(&st, || upi.ptq(key, qt).unwrap().len());
+        let real = measure(&st, || upi.cutoff_merge(key, qt).unwrap().count());
         let ratio = est / real;
         assert!(
             (0.33..3.0).contains(&ratio),
@@ -120,7 +120,7 @@ fn fractured_estimate_tracks_fracture_count() {
         }
         f.flush().unwrap();
         let est = estimate_query_fractured_ms(st.disk.config(), &f, key, 0.15);
-        let real = measure(&st, || f.ptq(key, 0.15).unwrap().len());
+        let real = measure(&st, || f.ptq_run(key, 0.15, None).unwrap().count());
         let ratio = est / real;
         assert!(
             (0.4..2.5).contains(&ratio),
@@ -137,7 +137,7 @@ fn fractured_estimate_tracks_fracture_count() {
         st.pool.flush_all();
         1
     });
-    let after = measure(&st, || f.ptq(key, 0.15).unwrap().len());
+    let after = measure(&st, || f.ptq_run(key, 0.15, None).unwrap().count());
     assert!(after < prev_real / 2.0, "merge must restore performance");
     let ratio = real_merge / predicted_merge;
     assert!(
@@ -166,7 +166,7 @@ fn saturation_is_observable_and_modeled() {
     upi.bulk_load(&data.authors).unwrap();
     let pointers = upi.cutoff_index().scan(key, 0.02).unwrap().len() as f64;
     assert!(pointers > 300.0, "need many pointers, got {pointers}");
-    let real = measure(&st, || upi.ptq(key, 0.02).unwrap().len());
+    let real = measure(&st, || upi.cutoff_merge(key, 0.02).unwrap().count());
     let naive = pointers * st.disk.config().seek_ms;
     assert!(
         real < naive * 0.6,

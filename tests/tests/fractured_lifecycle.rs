@@ -105,10 +105,9 @@ fn randomized_lifecycle_matches_model() {
             let value = rng.next() % 20;
             let qt = rng.unif() * 0.6;
             let mut got: Vec<u64> = f
-                .ptq(value, qt)
+                .ptq_run(value, qt, None)
                 .unwrap()
-                .iter()
-                .map(|r| r.tuple.id.0)
+                .map(|r| r.unwrap().tuple.id.0)
                 .collect();
             got.sort_unstable();
             let mut want: Vec<u64> = model
@@ -166,10 +165,9 @@ fn per_fracture_tuning_parameters_coexist() {
     for value in 0..20u64 {
         for qt in [0.01, 0.2, 0.5] {
             let mut got: Vec<u64> = f
-                .ptq(value, qt)
+                .ptq_run(value, qt, None)
                 .unwrap()
-                .iter()
-                .map(|r| r.tuple.id.0)
+                .map(|r| r.unwrap().tuple.id.0)
                 .collect();
             got.sort_unstable();
             let mut want: Vec<u64> = all

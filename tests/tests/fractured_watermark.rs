@@ -13,17 +13,20 @@
 //! These tests pin both halves of the claim:
 //! * for random k, fracture counts, delete patterns, and insert-buffer
 //!   shapes, the bounded merge's first k rows are **byte-identical**
-//!   (tid and confidence bits) to the unbounded merge's and to the
-//!   batch `ptq` prefix;
+//!   (tid and confidence bits) to the sorted unbounded (Algorithm 2)
+//!   answer's prefix and to a brute-force prefix over a model of the
+//!   live tuples;
 //! * on a suppression-heavy table — thousands of cutoff entries whose
 //!   tuples a newer fracture deleted — `PoolCounters` shows strictly
 //!   fewer pages read once the components' cutoff lists exceed the k
 //!   surviving rows the query needs.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use upi::{FracturedConfig, FracturedUpi, PtqResult, UpiConfig};
 use upi_storage::{DiskConfig, SimDisk, Store};
+use upi_tests::{drain_sorted, oracle};
 use upi_uncertain::{Datum, DiscretePmf, Field, Tuple, TupleId};
 
 /// The queried primary value every interesting row targets.
@@ -71,14 +74,19 @@ fn key(r: &PtqResult) -> (u64, u64) {
     (r.tuple.id.0, r.confidence.to_bits())
 }
 
-/// First `k` rows of the merge, bounded or unbounded.
+/// First `k` rows of the answer: the bounded top-k merge's stream, or
+/// the unbounded (unordered) Algorithm-2 chain drained and sorted.
 fn first_k(f: &FracturedUpi, qt: f64, k: usize, bounded: bool) -> Vec<(u64, u64)> {
-    let limit = if bounded { Some(k) } else { None };
-    f.ptq_run(QV, qt, limit)
-        .unwrap()
-        .take(k)
-        .map(|r| key(&r.unwrap()))
-        .collect()
+    let rows: Vec<PtqResult> = if bounded {
+        f.ptq_run(QV, qt, Some(k))
+            .unwrap()
+            .take(k)
+            .map(|r| r.unwrap())
+            .collect()
+    } else {
+        drain_sorted(f.ptq_run(QV, qt, None).unwrap())
+    };
+    rows.iter().take(k).map(key).collect()
 }
 
 #[test]
@@ -116,26 +124,33 @@ fn bounded_topk_is_byte_identical_for_random_shapes() {
             initial.push(tuple(10_000 + i, QV, 0.9 - i as f64 * 0.02, None));
         }
         f.load_initial(&initial).unwrap();
+        // The model: live tuples by id, flagged when flushed to disk.
+        let mut live: BTreeMap<u64, (Tuple, bool)> =
+            initial.into_iter().map(|t| (t.id.0, (t, true))).collect();
 
         // 1–3 fracture events of interleaved deletes (suppressing donor
         // cutoff entries) and fresh inserts at QV.
         let n_fractures = 1 + rng.below(3);
         for event in 0..n_fractures {
             for _ in 0..(n_donors as u64 / (n_fractures * 2)) {
-                f.delete(TupleId(rng.below(n_donors as u64))).unwrap();
+                let id = rng.below(n_donors as u64);
+                f.delete(TupleId(id)).unwrap();
+                live.remove(&id);
             }
             for i in 0..rng.below(4) {
                 let id = 20_000 + event * 100 + i;
-                f.insert(tuple(id, QV, 0.6 + (id % 7) as f64 * 0.05, None))
-                    .unwrap();
+                let t = tuple(id, QV, 0.6 + (id % 7) as f64 * 0.05, None);
+                live.insert(id, (t.clone(), true));
+                f.insert(t).unwrap();
             }
             f.flush().unwrap();
         }
         // Sometimes leave rows in the insert buffer (they seed the
         // watermark before any on-disk component is read).
         for i in 0..rng.below(10) {
-            f.insert(tuple(30_000 + i, QV, 0.95 - i as f64 * 0.01, None))
-                .unwrap();
+            let t = tuple(30_000 + i, QV, 0.95 - i as f64 * 0.01, None);
+            live.insert(t.id.0, (t.clone(), false));
+            f.insert(t).unwrap();
         }
 
         for k in [1usize, 2, 3, 5, 9, 17] {
@@ -146,11 +161,20 @@ fn bounded_topk_is_byte_identical_for_random_shapes() {
                     bounded, unbounded,
                     "trial {trial} k={k} qt={qt}: bounded merge diverged"
                 );
-                let batch: Vec<(u64, u64)> =
-                    f.ptq(QV, qt).unwrap().iter().take(k).map(key).collect();
+                let want: Vec<(u64, u64)> = oracle(
+                    live.values().map(|(t, on_disk)| (t, *on_disk)),
+                    1,
+                    QV,
+                    QV,
+                    qt,
+                )
+                .into_iter()
+                .take(k)
+                .map(|(tid, conf)| (tid, conf.to_bits()))
+                .collect();
                 assert_eq!(
-                    bounded, batch,
-                    "trial {trial} k={k} qt={qt}: merge prefix != batch prefix"
+                    bounded, want,
+                    "trial {trial} k={k} qt={qt}: merge prefix != brute-force prefix"
                 );
             }
         }

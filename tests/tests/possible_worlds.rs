@@ -72,7 +72,11 @@ fn index_confidences_equal_world_mass() {
         pii.bulk_load(&tuples).unwrap();
 
         for value in 0..6u64 {
-            let from_upi = upi.ptq(value, 0.0).unwrap();
+            let from_upi: Vec<upi::PtqResult> = upi
+                .cutoff_merge(value, 0.0)
+                .unwrap()
+                .collect::<Result<_, _>>()
+                .unwrap();
             let from_pii = pii.ptq(&heap, value, 0.0).unwrap();
             assert_eq!(from_upi.len(), from_pii.len());
             for r in &from_upi {
@@ -99,10 +103,9 @@ fn threshold_filter_matches_world_semantics() {
     for value in 0..6u64 {
         for qt in [0.05, 0.25, 0.6] {
             let got: Vec<u64> = upi
-                .ptq(value, qt)
+                .cutoff_merge(value, qt)
                 .unwrap()
-                .iter()
-                .map(|r| r.tuple.id.0)
+                .map(|r| r.unwrap().tuple.id.0)
                 .collect();
             for t in &tuples {
                 let oracle = confidence_from_worlds(&tuples, &worlds, t.id, value);

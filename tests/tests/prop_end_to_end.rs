@@ -8,6 +8,7 @@ use std::sync::Arc;
 use upi::{DiscreteUpi, Pii, UnclusteredHeap, UpiConfig};
 use upi_storage::codec::{dequantize_prob, quantize_prob};
 use upi_storage::{DiskConfig, SimDisk, Store};
+use upi_tests::oracle_on_disk;
 use upi_uncertain::{Datum, DiscretePmf, Field, Tuple, TupleId};
 
 fn store() -> Store {
@@ -87,9 +88,14 @@ proptest! {
         pii.bulk_load(&tuples).unwrap();
 
         let want = oracle(&tuples, value, qt);
-        let mut got_upi: Vec<u64> = upi.ptq(value, qt).unwrap()
-            .iter().map(|r| r.tuple.id.0).collect();
+        // Both point cursors: Algorithm 2 and the confidence-ordered one.
+        let mut got_upi: Vec<u64> = upi.cutoff_merge(value, qt).unwrap()
+            .map(|r| r.unwrap().tuple.id.0).collect();
         got_upi.sort_unstable();
+        let mut got_ordered: Vec<u64> = upi.point_run(value, qt, None).unwrap()
+            .map(|r| r.unwrap().tuple.id.0).collect();
+        got_ordered.sort_unstable();
+        prop_assert_eq!(&got_ordered, &want, "point_run cutoff={}", cutoff);
         let mut got_pii: Vec<u64> = pii.ptq(&heap, value, qt).unwrap()
             .iter().map(|r| r.tuple.id.0).collect();
         got_pii.sort_unstable();
@@ -154,11 +160,12 @@ proptest! {
             UpiConfig { page_size: 1024, ..UpiConfig::default() },
         ).unwrap();
         upi.bulk_load(&tuples).unwrap();
-        let top = upi::exec::top_k(&upi, value, k).unwrap();
-        let all = upi.ptq(value, 0.0).unwrap();
+        let top: Vec<upi::PtqResult> = upi.point_run(value, 0.0, Some(k)).unwrap()
+            .take(k).map(|r| r.unwrap()).collect();
+        let all = oracle_on_disk(&tuples, 1, value, value, 0.0);
         prop_assert_eq!(top.len(), all.len().min(k));
         for (a, b) in top.iter().zip(all.iter()) {
-            prop_assert!((a.confidence - b.confidence).abs() < 1e-9);
+            prop_assert!((a.confidence - b.1).abs() < 1e-9);
         }
     }
 }

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use upi::{DiscreteUpi, FracturedConfig, FracturedUpi, Pii, UnclusteredHeap, UpiConfig};
 use upi_storage::{DiskConfig, SimDisk, Store};
+use upi_tests::drain_sorted;
 use upi_uncertain::{Datum, DiscretePmf, Field, Tuple, TupleId};
 use upi_workloads::dblp::{self, author_fields, DblpConfig};
 
@@ -70,7 +71,7 @@ fn range_ptq_agrees_across_paths_on_dblp() {
         for qt in [0.01, 0.2, 0.6] {
             let want = oracle(&data.authors, attr, lo, hi, qt);
             assert_eq!(
-                ids(&upi.ptq_range(lo, hi, qt).unwrap()),
+                ids(&drain_sorted(upi.range_run(lo, hi, qt).unwrap())),
                 want,
                 "upi range=[{lo},{hi}] qt={qt}"
             );
@@ -99,12 +100,12 @@ fn range_confidences_sum_alternatives() {
     let mut upi = DiscreteUpi::create(st, "u", 1, UpiConfig::default()).unwrap();
     upi.bulk_load(std::slice::from_ref(&t)).unwrap();
     // Each alternative is 0.3 < 0.5, but the range sum is 0.6.
-    let res = upi.ptq_range(3, 4, 0.5).unwrap();
+    let res = drain_sorted(upi.range_run(3, 4, 0.5).unwrap());
     assert_eq!(res.len(), 1);
     assert!((res[0].confidence - 0.6).abs() < 1e-6);
     // Point queries at the same threshold find nothing.
-    assert!(upi.ptq(3, 0.5).unwrap().is_empty());
-    assert!(upi.ptq(4, 0.5).unwrap().is_empty());
+    assert_eq!(upi.cutoff_merge(3, 0.5).unwrap().count(), 0);
+    assert_eq!(upi.cutoff_merge(4, 0.5).unwrap().count(), 0);
 }
 
 #[test]
@@ -131,7 +132,7 @@ fn range_ptq_includes_cutoff_mass() {
     .unwrap();
     upi.bulk_load(std::slice::from_ref(&t)).unwrap();
     assert_eq!(upi.cutoff_index().len(), 2);
-    let res = upi.ptq_range(5, 6, 0.05).unwrap();
+    let res = drain_sorted(upi.range_run(5, 6, 0.05).unwrap());
     assert_eq!(res.len(), 1, "cutoff mass must be found");
     assert!((res[0].confidence - 0.09).abs() < 1e-6);
 }
@@ -164,7 +165,7 @@ fn fractured_range_spans_components() {
     for (lo, hi, qt) in [(0u64, 20u64, 0.05), (30, 90, 0.3)] {
         let want = oracle(&data.authors, attr, lo, hi, qt);
         assert_eq!(
-            ids(&f.ptq_range(lo, hi, qt).unwrap()),
+            ids(&drain_sorted(f.range_run(lo, hi, qt).unwrap())),
             want,
             "range=[{lo},{hi}] qt={qt}"
         );
@@ -224,7 +225,7 @@ proptest! {
             UpiConfig { cutoff, page_size: 1024, ..UpiConfig::default() },
         ).unwrap();
         upi.bulk_load(&tuples).unwrap();
-        let got = ids(&upi.ptq_range(lo, hi, qt).unwrap());
+        let got = ids(&drain_sorted(upi.range_run(lo, hi, qt).unwrap()));
         let want = oracle(&tuples, 1, lo, hi, qt);
         // Quantization at the exact threshold may flip membership; retry
         // the check with a tolerance band before failing.
