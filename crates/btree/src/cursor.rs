@@ -1,55 +1,101 @@
 //! Forward cursors over the leaf chain.
 
+use bytes::Bytes;
 use upi_storage::error::Result;
 use upi_storage::PageId;
 
-use crate::node::{Node, NodeKind};
+use crate::node::{NodeKind, NodeView};
 use crate::tree::BTree;
 
 /// A forward-only cursor over a [`BTree`]'s leaf chain.
 ///
-/// Cursors hold a decoded copy of the current leaf, so they never observe a
-/// torn page; they become stale if the tree is mutated (Rust's borrow rules
-/// enforce this: a cursor borrows the tree immutably).
+/// A cursor holds the current leaf as a **ref-counted snapshot of its
+/// buffer-pool frame** plus that page's entry-offset table; keys and
+/// values are slices of the frame, so reading an entry copies nothing.
+/// A later write to the page installs a new frame in the pool rather than
+/// editing the snapshot, so a cursor never observes a torn page. It
+/// becomes stale if the tree is mutated (Rust's borrow rules enforce
+/// this: a cursor borrows the tree immutably). The offset table's
+/// capacity is reused from leaf to leaf.
 ///
 /// Advancing across a leaf boundary reads the next leaf through the buffer
 /// pool — physically adjacent leaves (bulk-loaded trees) cost sequential
 /// reads, scattered leaves (churned trees) cost seeks. Range-scan cost is
 /// therefore an emergent property of the tree's history, as in §4.1 of the
-/// paper.
+/// paper. A malformed page on the way is a
+/// [`StorageError::Corrupted`](upi_storage::error::StorageError::Corrupted).
 pub struct Cursor<'a> {
     tree: &'a BTree,
     page: PageId,
-    node: Node,
+    frame: Bytes,
+    kind: NodeKind,
+    link: PageId,
+    offsets: Vec<u32>,
     slot: usize,
     exhausted: bool,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(tree: &'a BTree, page: PageId, node: Node, slot: usize) -> Cursor<'a> {
-        debug_assert_eq!(node.kind, NodeKind::Leaf);
-        Cursor {
+    /// A cursor holding node `page`, which must be a `kind` node,
+    /// positioned at its first entry. Tree descents load internal nodes
+    /// into it before the leaf.
+    pub(crate) fn open(tree: &'a BTree, page: PageId, kind: NodeKind) -> Result<Cursor<'a>> {
+        let mut offsets = Vec::new();
+        let (frame, link) = fetch(tree, page, kind, &mut offsets)?;
+        Ok(Cursor {
             tree,
             page,
-            node,
-            slot,
+            frame,
+            kind,
+            link,
+            offsets,
+            slot: 0,
             exhausted: false,
+        })
+    }
+
+    /// Replace the held node with page `page`, which must be a `kind`
+    /// node. On failure the cursor holds no entries, so it reads as
+    /// exhausted.
+    pub(crate) fn load(&mut self, page: PageId, kind: NodeKind) -> Result<()> {
+        match fetch(self.tree, page, kind, &mut self.offsets) {
+            Ok((frame, link)) => {
+                (self.page, self.frame, self.kind, self.link) = (page, frame, kind, link);
+                self.slot = 0;
+                Ok(())
+            }
+            Err(e) => {
+                self.offsets.clear();
+                Err(e)
+            }
         }
+    }
+
+    /// The held node.
+    pub(crate) fn view(&self) -> NodeView<'_> {
+        NodeView::from_parts(&self.frame, self.kind, self.link, &self.offsets)
+    }
+
+    /// Position at entry `slot` of the held leaf, hopping forward if the
+    /// leaf holds no entry at or after it.
+    pub(crate) fn position(&mut self, slot: usize) -> Result<()> {
+        self.slot = slot;
+        self.skip_exhausted()
     }
 
     /// True while the cursor points at an entry.
     pub fn valid(&self) -> bool {
-        !self.exhausted && self.slot < self.node.entries.len()
+        !self.exhausted && self.slot < self.offsets.len()
     }
 
     /// Key at the cursor (panics if `!valid()`).
     pub fn key(&self) -> &[u8] {
-        &self.node.entries[self.slot].0
+        self.view().key(self.slot)
     }
 
     /// Value at the cursor (panics if `!valid()`).
     pub fn value(&self) -> &[u8] {
-        &self.node.entries[self.slot].1
+        self.view().value(self.slot)
     }
 
     /// Page currently under the cursor (diagnostics).
@@ -70,18 +116,31 @@ impl<'a> Cursor<'a> {
     /// entry is found or the chain ends. (Leaves are never left empty except
     /// transiently for the rightmost node, so this usually hops at most
     /// once.)
-    pub(crate) fn skip_exhausted(&mut self) -> Result<()> {
-        while self.slot >= self.node.entries.len() {
-            if !self.node.link.is_valid() {
+    fn skip_exhausted(&mut self) -> Result<()> {
+        while self.slot >= self.offsets.len() {
+            if !self.link.is_valid() {
                 self.exhausted = true;
                 return Ok(());
             }
-            self.page = self.node.link;
-            self.node = self.tree.read_node(self.page)?;
-            self.slot = 0;
+            self.load(self.link, NodeKind::Leaf)?;
         }
         Ok(())
     }
+}
+
+/// Read page `page` through the pool, validate it as a `kind` node and
+/// index its entries into `offsets`; returns the frame and the node's link.
+fn fetch(
+    tree: &BTree,
+    page: PageId,
+    kind: NodeKind,
+    offsets: &mut Vec<u32>,
+) -> Result<(Bytes, PageId)> {
+    let frame = tree.store.pool.get(page)?;
+    let view = NodeView::parse(page, &frame, offsets)?;
+    view.expect_kind(page, kind)?;
+    let link = view.link();
+    Ok((frame, link))
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use upi_storage::error::{Result, StorageError};
 use upi_storage::{FileId, PageId, Store};
 
 use crate::cursor::Cursor;
-use crate::node::{child_id, child_val, Node, NodeKind, ENTRY_OVERHEAD, HEADER_LEN};
+use crate::node::{child_id, child_val, Node, NodeKind, NodeView, ENTRY_OVERHEAD, HEADER_LEN};
 
 /// Summary statistics of a tree (sizes feed the cost models of §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,8 +107,10 @@ impl BTree {
         (self.page_size - HEADER_LEN) / 2 - ENTRY_OVERHEAD
     }
 
+    /// Decode page `pid` into an owned [`Node`] — the mutation path only;
+    /// reads go through [`NodeView`]s.
     pub(crate) fn read_node(&self, pid: PageId) -> Result<Node> {
-        Ok(Node::decode(&self.store.pool.get(pid)?))
+        Node::decode(pid, &self.store.pool.get(pid)?)
     }
 
     pub(crate) fn write_node(&self, pid: PageId, node: &Node) {
@@ -132,20 +134,28 @@ impl BTree {
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let mut pid = self.root;
-        loop {
-            let node = self.read_node(pid)?;
-            match node.kind {
-                NodeKind::Internal => pid = node.route(key),
-                NodeKind::Leaf => {
-                    let idx = node.lower_bound(key);
-                    if idx < node.entries.len() && &*node.entries[idx].0 == key {
-                        return Ok(Some(node.entries[idx].1.to_vec()));
-                    }
-                    return Ok(None);
-                }
+        let cur = self.leaf_cursor(key)?;
+        let leaf = cur.view();
+        let idx = leaf.lower_bound(key);
+        Ok((idx < leaf.len() && leaf.key(idx) == key).then(|| leaf.value(idx).to_vec()))
+    }
+
+    /// A cursor holding the leaf that covers `key`, reached by routing
+    /// through every internal node on the way down (one pool read each).
+    fn leaf_cursor(&self, key: &[u8]) -> Result<Cursor<'_>> {
+        let kind_at = |depth: usize| {
+            if depth + 1 == self.height {
+                NodeKind::Leaf
+            } else {
+                NodeKind::Internal
             }
+        };
+        let mut cur = Cursor::open(self, self.root, kind_at(0))?;
+        for depth in 1..self.height {
+            let child = cur.view().route(key);
+            cur.load(child, kind_at(depth))?;
         }
+        Ok(cur)
     }
 
     /// Insert or replace. Returns `true` if the key was new.
@@ -382,9 +392,11 @@ impl BTree {
     /// subsequent seek repeats against a now-warm cache.
     pub fn leaf_page_for(&self, key: &[u8]) -> Result<PageId> {
         let mut pid = self.root;
+        let mut offsets = Vec::new();
         for _ in 1..self.height {
-            let node = self.read_node(pid)?;
-            debug_assert_eq!(node.kind, NodeKind::Internal);
+            let frame = self.store.pool.get(pid)?;
+            let node = NodeView::parse(pid, &frame, &mut offsets)?;
+            node.expect_kind(pid, NodeKind::Internal)?;
             pid = node.route(key);
         }
         Ok(pid)
@@ -392,19 +404,10 @@ impl BTree {
 
     /// Cursor positioned at the first entry with key `>= key`.
     pub fn seek(&self, key: &[u8]) -> Result<Cursor<'_>> {
-        let mut pid = self.root;
-        loop {
-            let node = self.read_node(pid)?;
-            match node.kind {
-                NodeKind::Internal => pid = node.route(key),
-                NodeKind::Leaf => {
-                    let slot = node.lower_bound(key);
-                    let mut cur = Cursor::new(self, pid, node, slot);
-                    cur.skip_exhausted()?;
-                    return Ok(cur);
-                }
-            }
-        }
+        let mut cur = self.leaf_cursor(key)?;
+        let slot = cur.view().lower_bound(key);
+        cur.position(slot)?;
+        Ok(cur)
     }
 
     /// Cursor at the smallest key.
@@ -557,6 +560,79 @@ mod tests {
         // Single-leaf tree: the root is the leaf, no pages read at all.
         let t1 = tree(512);
         assert_eq!(t1.leaf_page_for(b"anything").unwrap(), t1.root_page());
+    }
+
+    /// Rewrite page `pid` in the pool with `damage` applied.
+    fn corrupt(t: &BTree, pid: PageId, damage: impl FnOnce(&mut Vec<u8>)) {
+        let mut bytes = t.store.pool.get(pid).unwrap().to_vec();
+        damage(&mut bytes);
+        t.store.pool.put(pid, bytes.into());
+    }
+
+    /// A named way to damage a page image.
+    type Damage = (&'static str, fn(&mut Vec<u8>));
+
+    fn is_corrupted<T>(r: Result<T>) -> bool {
+        matches!(r, Err(StorageError::Corrupted(_)))
+    }
+
+    /// A bad tag, an impossible entry count and an entry overrunning the
+    /// page each surface as `StorageError::Corrupted` — never a panic —
+    /// from every read entry point and from the owned decode on the
+    /// mutation path.
+    #[test]
+    fn malformed_pages_are_typed_corruption_on_every_entry_point() {
+        let damages: [Damage; 3] = [
+            ("bad tag", |b| b[0] = 9),
+            ("entry count past the page", |b| {
+                b[2..4].copy_from_slice(&u16::MAX.to_le_bytes())
+            }),
+            // The first entry's key length runs past the page end.
+            ("overrunning entry", |b| {
+                b[16..18].copy_from_slice(&u16::MAX.to_le_bytes())
+            }),
+        ];
+        for (what, damage) in damages {
+            let mut t = tree(512);
+            for i in 0u32..400 {
+                t.insert(format!("{:06}", i).as_bytes(), b"v").unwrap();
+            }
+            assert!(t.height() > 1);
+            // The second leaf and a key stored on it, read before the
+            // damage; `cur` holds a snapshot of the first leaf.
+            let mut c = t.first().unwrap();
+            let first_leaf = c.page();
+            while c.page() == first_leaf {
+                c.advance().unwrap();
+            }
+            let (second_leaf, on_second) = (c.page(), c.key().to_vec());
+            let mut cur = t.first().unwrap();
+
+            // A damaged leaf: reads landing on it fail typed, and so does
+            // a cursor hopping onto it from its left neighbour.
+            corrupt(&t, second_leaf, damage);
+            assert!(is_corrupted(t.get(&on_second)), "{what}: get on the leaf");
+            assert!(is_corrupted(t.seek(&on_second)), "{what}: seek to the leaf");
+            let mut hopped = Ok(());
+            while hopped.is_ok() && cur.valid() {
+                hopped = cur.advance();
+            }
+            assert!(is_corrupted(hopped), "{what}: Cursor::advance");
+            assert!(
+                !cur.valid(),
+                "{what}: a failed hop leaves the cursor exhausted"
+            );
+
+            // A damaged root: every descent fails typed.
+            let key = b"000000";
+            corrupt(&t, t.root_page(), damage);
+            assert!(is_corrupted(t.get(key)), "{what}: get");
+            assert!(is_corrupted(t.seek(key)), "{what}: seek");
+            assert!(is_corrupted(t.leaf_page_for(key)), "{what}: leaf_page_for");
+            // The owned decode on the mutation path fails the same way.
+            assert!(is_corrupted(t.insert(b"new", b"v")), "{what}: insert");
+            assert!(is_corrupted(t.delete(key)), "{what}: delete");
+        }
     }
 
     #[test]

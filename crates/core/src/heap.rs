@@ -117,22 +117,35 @@ impl HeapScanRun<'_> {
     pub fn stats(&self) -> CursorStats {
         self.stats
     }
+
+    /// [`Iterator::next`] with a row filter applied to each tuple's
+    /// **encoded** bytes before it is decoded: a row failing `keep` (a
+    /// scan predicate evaluated by byte-level peek) is counted as
+    /// suppressed and never materialized.
+    pub fn next_where(&mut self, keep: &dyn Fn(&[u8]) -> bool) -> Option<Result<Tuple>> {
+        while self.cur.valid() {
+            let tuple = keep(self.cur.value()).then(|| decode_tuple(self.cur.value()));
+            match tuple {
+                Some(_) => self.stats.decodes += 1,
+                None => self.stats.suppressed += 1,
+            }
+            if let Err(e) = self.cur.advance() {
+                return Some(Err(e));
+            }
+            if let Some(tuple) = tuple {
+                self.stats.rows += 1;
+                return Some(Ok(tuple));
+            }
+        }
+        None
+    }
 }
 
 impl Iterator for HeapScanRun<'_> {
     type Item = Result<Tuple>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if !self.cur.valid() {
-            return None;
-        }
-        let tuple = decode_tuple(self.cur.value());
-        self.stats.decodes += 1;
-        if let Err(e) = self.cur.advance() {
-            return Some(Err(e));
-        }
-        self.stats.rows += 1;
-        Some(Ok(tuple))
+        self.next_where(&|_| true)
     }
 }
 

@@ -4,10 +4,10 @@
 use std::collections::{HashMap, HashSet};
 
 use upi_btree::{BTree, Cursor, TreeStats};
-use upi_storage::codec::{dequantize_prob, quantize_prob};
+use upi_storage::codec::{grid_prob, quantize_prob};
 use upi_storage::error::{Result, StorageError};
 use upi_storage::Store;
-use upi_uncertain::tuple::{decode_tuple, encode_tuple, peek_first_alt};
+use upi_uncertain::tuple::{decode_tuple, encode_tuple, peek_first_alt, peek_folded_mass};
 use upi_uncertain::{AttrStats, Tuple};
 
 use crate::cutoff::{CutoffIndex, CutoffPointer};
@@ -670,12 +670,12 @@ impl DistinctScan<'_> {
     pub fn stats(&self) -> CursorStats {
         self.stats
     }
-}
 
-impl Iterator for DistinctScan<'_> {
-    type Item = Result<Tuple>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// [`Iterator::next`] with a row filter applied to each distinct
+    /// tuple's **encoded** bytes before it is decoded: a row failing
+    /// `keep` (a scan predicate evaluated by byte-level peek) is counted
+    /// as suppressed and never materialized.
+    pub fn next_where(&mut self, keep: &dyn Fn(&[u8]) -> bool) -> Option<Result<Tuple>> {
         while self.cur.valid() {
             let (v, prob, _tid) = keys::decode_entry_key(self.cur.key());
             // Keep only the first-alternative copy, comparing on the
@@ -683,13 +683,17 @@ impl Iterator for DistinctScan<'_> {
             // reads the key fields straight off the encoded bytes, so
             // the (payload-heavy) duplicate copies are skipped without
             // allocating a tuple per entry.
-            let keep = match peek_first_alt(self.cur.value(), self.attr) {
+            let first = match peek_first_alt(self.cur.value(), self.attr) {
                 Some((exist, (fv, fp))) => {
                     fv == v && quantize_prob(fp * exist) == quantize_prob(prob)
                 }
                 None => true, // malformed entry: decode and let it panic
             };
-            let t = keep.then(|| decode_tuple(self.cur.value()));
+            let wanted = first && keep(self.cur.value());
+            if first && !wanted {
+                self.stats.suppressed += 1;
+            }
+            let t = wanted.then(|| decode_tuple(self.cur.value()));
             if t.is_some() {
                 self.stats.decodes += 1;
             }
@@ -703,6 +707,14 @@ impl Iterator for DistinctScan<'_> {
             }
         }
         None
+    }
+}
+
+impl Iterator for DistinctScan<'_> {
+    type Item = Result<Tuple>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_where(&|_| true)
     }
 }
 
@@ -1014,13 +1026,7 @@ impl RangeRun<'_> {
     /// Quantized-grid possible-world confidence of `tuple` for this
     /// range, exactly as the index keys would sum it.
     fn range_confidence(&self, tuple: &Tuple) -> f64 {
-        tuple
-            .discrete(self.upi.attr)
-            .alternatives()
-            .iter()
-            .filter(|&&(v, _)| (self.lo..=self.hi).contains(&v))
-            .map(|&(_, p)| dequantize_prob(quantize_prob(p * tuple.exist)))
-            .sum()
+        tuple.folded_mass(self.upi.attr, self.lo, self.hi, grid_prob)
     }
 
     /// Build the phase-2 fetch list: accumulate cutoff mass per unseen
@@ -1063,8 +1069,18 @@ impl Iterator for RangeRun<'_> {
                 self.cur = None;
                 break;
             }
+            // A tuple's first in-range copy settles it: its confidence is
+            // peeked off the encoded bytes, and only a qualifier (or a row
+            // the peek cannot read) is decoded.
             let fresh = self.seen.insert(tid);
-            let tuple = fresh.then(|| decode_tuple(cur.value()));
+            let peeked = fresh
+                .then(|| peek_folded_mass(cur.value(), self.upi.attr, self.lo, self.hi, grid_prob))
+                .flatten();
+            let wanted = fresh && peeked.is_none_or(|c| c >= self.qt);
+            if fresh && !wanted {
+                self.stats.suppressed += 1;
+            }
+            let tuple = wanted.then(|| decode_tuple(cur.value()));
             if tuple.is_some() {
                 self.stats.decodes += 1;
             }
@@ -1128,6 +1144,7 @@ impl Iterator for SecondaryRun<'_> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use upi_storage::codec::dequantize_prob;
     use upi_storage::{DiskConfig, SimDisk};
     use upi_uncertain::{Datum, DiscretePmf, Field, TupleId};
 

@@ -24,9 +24,10 @@
 
 use upi::exec::group_count;
 use upi::{CursorStats, DiscreteUpi, FracturedUpi, HeapScanRun, Pii, PtqResult, UnclusteredHeap};
-use upi_storage::codec::{dequantize_prob, quantize_prob};
+use upi_storage::codec::grid_prob;
 use upi_storage::error::Result as StorageResult;
 use upi_storage::{IoStats, PoolCounters, QueryId};
+use upi_uncertain::tuple::peek_folded_mass;
 use upi_uncertain::Tuple;
 
 use crate::catalog::Catalog;
@@ -181,24 +182,35 @@ impl Iterator for PiiProbe<'_> {
     }
 }
 
-/// Confidence of `tuple` for a discrete predicate, on the quantized grid
-/// the index keys use (so scans agree bit-for-bit with index paths).
-fn scan_confidence(tuple: &Tuple, pred: &Predicate) -> f64 {
-    let q = |p: f64| dequantize_prob(quantize_prob(p));
+/// The value window `(attr, lo, hi)` whose folded mass is a discrete
+/// predicate's confidence (`None` for circles).
+fn mass_window(pred: &Predicate) -> Option<(usize, u64, u64)> {
     match *pred {
-        Predicate::Eq { attr, value } => q(tuple.confidence_eq(attr, value)),
-        Predicate::Range { attr, lo, hi } => tuple
-            .discrete(attr)
-            .alternatives()
-            .iter()
-            .filter(|&&(v, _)| (lo..=hi).contains(&v))
-            .map(|&(_, p)| q(p * tuple.exist))
-            .sum(),
-        Predicate::Circle { .. } => 0.0, // circle scans are not enumerated
+        Predicate::Eq { attr, value } => Some((attr, value, value)),
+        Predicate::Range { attr, lo, hi } => Some((attr, lo, hi)),
+        Predicate::Circle { .. } => None, // circle scans are not enumerated
     }
 }
 
-/// `HeapScan` — full sequential scan with a fused confidence `Filter`.
+/// Confidence of `tuple` for a discrete predicate, on the quantized grid
+/// the index keys use (so scans agree bit-for-bit with index paths).
+fn scan_confidence(tuple: &Tuple, pred: &Predicate) -> f64 {
+    mass_window(pred).map_or(0.0, |(attr, lo, hi)| {
+        tuple.folded_mass(attr, lo, hi, grid_prob)
+    })
+}
+
+/// The scans' pre-decode filter: [`scan_confidence`] peeked off the
+/// encoded tuple. A row whose predicate field cannot be peeked is kept,
+/// so it is decoded and judged by the post-decode check instead.
+fn peek_qualifies(bytes: &[u8], pred: &Predicate, qt: f64) -> bool {
+    mass_window(pred)
+        .and_then(|(attr, lo, hi)| peek_folded_mass(bytes, attr, lo, hi, grid_prob))
+        .is_none_or(|c| c > 0.0 && c >= qt)
+}
+
+/// `HeapScan` — full sequential scan with a fused confidence `Filter`,
+/// evaluated on each tuple's bytes before it is decoded.
 pub struct HeapScan<'a> {
     inner: HeapScanRun<'a>,
     pred: Predicate,
@@ -222,14 +234,7 @@ impl<'a> HeapScan<'a> {
     }
 
     fn stats(&self) -> CursorStats {
-        let inner = self.inner.stats();
-        CursorStats {
-            rows: self.emitted,
-            decodes: inner.decodes,
-            // Scanned tuples the fused filter dropped.
-            suppressed: inner.rows - self.emitted,
-            pointer_fetches: 0,
-        }
+        filtered_scan_stats(self.inner.stats(), self.emitted)
     }
 }
 
@@ -237,7 +242,8 @@ impl Iterator for HeapScan<'_> {
     type Item = Result<PtqResult, QueryError>;
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let tuple = match self.inner.next()? {
+            let keep = |bytes: &[u8]| peek_qualifies(bytes, &self.pred, self.qt);
+            let tuple = match self.inner.next_where(&keep)? {
                 Ok(t) => t,
                 Err(e) => return Some(Err(e.into())),
             };
@@ -251,7 +257,8 @@ impl Iterator for HeapScan<'_> {
 }
 
 /// `UpiFullScan` — sequential scan of the clustered heap's distinct
-/// tuples with a fused confidence `Filter`.
+/// tuples with a fused confidence `Filter`, evaluated on each tuple's
+/// bytes before it is decoded.
 pub struct UpiFullScan<'a> {
     inner: upi::DistinctScan<'a>,
     pred: Predicate,
@@ -271,13 +278,7 @@ impl<'a> UpiFullScan<'a> {
     }
 
     fn stats(&self) -> CursorStats {
-        let inner = self.inner.stats();
-        CursorStats {
-            rows: self.emitted,
-            decodes: inner.decodes,
-            suppressed: inner.rows - self.emitted,
-            pointer_fetches: 0,
-        }
+        filtered_scan_stats(self.inner.stats(), self.emitted)
     }
 }
 
@@ -285,7 +286,8 @@ impl Iterator for UpiFullScan<'_> {
     type Item = Result<PtqResult, QueryError>;
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let tuple = match self.inner.next()? {
+            let keep = |bytes: &[u8]| peek_qualifies(bytes, &self.pred, self.qt);
+            let tuple = match self.inner.next_where(&keep)? {
                 Ok(t) => t,
                 Err(e) => return Some(Err(e.into())),
             };
@@ -295,6 +297,18 @@ impl Iterator for UpiFullScan<'_> {
                 return Some(Ok(PtqResult { tuple, confidence }));
             }
         }
+    }
+}
+
+/// A filtered full scan's counters: every scanned tuple is either
+/// emitted or suppressed — by the pre-decode peek (`inner.suppressed`) or
+/// by the post-decode check (`inner.rows - emitted`).
+fn filtered_scan_stats(inner: CursorStats, emitted: u64) -> CursorStats {
+    CursorStats {
+        rows: emitted,
+        decodes: inner.decodes,
+        suppressed: inner.suppressed + (inner.rows - emitted),
+        pointer_fetches: 0,
     }
 }
 

@@ -68,6 +68,13 @@ pub fn dequantize_prob(q: u32) -> f64 {
     q as f64 / PROB_SCALE
 }
 
+/// `p` rounded to the grid index keys store probabilities on — what a
+/// key written for `p` decodes back to.
+#[inline]
+pub fn grid_prob(p: f64) -> f64 {
+    dequantize_prob(quantize_prob(p))
+}
+
 /// Encode a probability so byte order is **descending** probability.
 #[inline]
 pub fn enc_prob_desc(buf: &mut Vec<u8>, p: f64) {

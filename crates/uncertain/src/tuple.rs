@@ -127,6 +127,18 @@ impl Tuple {
         self.exist * self.discrete(idx).prob_of(value)
     }
 
+    /// Folded mass of discrete field `idx` on the value range `[lo, hi]`:
+    /// `Σ grid(existence × P(v))` over the alternatives `v` in range,
+    /// where `grid` rounds each folded probability the way the index keys
+    /// store it. The scan-side confidence of both `attr = v` (with
+    /// `lo = hi = v`) and range predicates; [`peek_folded_mass`] computes
+    /// the same number from the encoded bytes. Panics if the field is not
+    /// discrete.
+    pub fn folded_mass(&self, idx: usize, lo: u64, hi: u64, grid: impl Fn(f64) -> f64) -> f64 {
+        let alts = self.discrete(idx).alternatives().iter().copied();
+        folded_sum(alts, self.exist, lo, hi, grid)
+    }
+
     /// Serialized size in bytes.
     pub fn encoded_len(&self) -> usize {
         encode_tuple(self).len()
@@ -182,54 +194,92 @@ pub fn encode_tuple(t: &Tuple) -> Vec<u8> {
 /// so hot run scans that only need to compare key fields (e.g. the
 /// distinct-scan duplicate filter) stop paying one `String` allocation
 /// per field per entry. Returns `None` when `attr` is out of bounds or
-/// not a discrete field.
+/// not a discrete field, or the bytes are malformed.
 pub fn peek_first_alt(data: &[u8], attr: usize) -> Option<(f64, (u64, f64))> {
-    let exist = f64::from_le_bytes(data[8..16].try_into().unwrap());
-    let nfields = u16::from_le_bytes(data[16..18].try_into().unwrap()) as usize;
+    let (exist, alts) = peek_discrete(data, attr)?;
+    // Alternatives are stored in descending-probability order, so the
+    // first encoded pair is `first()`.
+    Some((exist, encoded_alts(alts).next()?))
+}
+
+/// Borrowed peek at the predicate mass of an encoded tuple: the
+/// [`Tuple::folded_mass`] of discrete field `attr` on `[lo, hi]`, read
+/// straight off the bytes with no allocation. Scans evaluate their
+/// predicate with it *before* decoding, so only qualifying rows are
+/// materialized. The sum runs over the same alternatives in the same
+/// order as on the decoded tuple, so the two agree to the bit.
+///
+/// Returns `None` — and the caller must then decode and test the tuple —
+/// when `attr` is out of bounds, not a discrete field, or the bytes are
+/// malformed, so a row the peek cannot read is never silently dropped.
+pub fn peek_folded_mass(
+    data: &[u8],
+    attr: usize,
+    lo: u64,
+    hi: u64,
+    grid: impl Fn(f64) -> f64,
+) -> Option<f64> {
+    let (exist, alts) = peek_discrete(data, attr)?;
+    Some(folded_sum(encoded_alts(alts), exist, lo, hi, grid))
+}
+
+/// The folded-mass formula shared by [`Tuple::folded_mass`] and
+/// [`peek_folded_mass`]: `Σ grid(p × exist)` over the alternatives whose
+/// value lies in `[lo, hi]`, in stored order.
+fn folded_sum(
+    alts: impl Iterator<Item = (u64, f64)>,
+    exist: f64,
+    lo: u64,
+    hi: u64,
+    grid: impl Fn(f64) -> f64,
+) -> f64 {
+    alts.filter(|&(v, _)| (lo..=hi).contains(&v))
+        .map(|(_, p)| grid(p * exist))
+        .sum()
+}
+
+/// Existence probability and the encoded `(value, prob)` pairs of
+/// discrete field `attr`, found by skipping the fields before it as
+/// borrowed slices. `None` when `attr` is out of bounds or not discrete,
+/// the PMF is empty, or any length runs past the end of `data`.
+fn peek_discrete(data: &[u8], attr: usize) -> Option<(f64, &[u8])> {
+    let take = |at: usize, n: usize| data.get(at..at.checked_add(n)?);
+    let exist = f64::from_le_bytes(bytes_at(data, 8)?);
+    let nfields = u16::from_le_bytes(bytes_at(data, 16)?) as usize;
     if attr >= nfields {
         return None;
     }
     let mut at = 18usize;
     for field in 0..=attr {
-        let tag = data[at];
+        let tag = *data.get(at)?;
         at += 1;
-        match tag {
-            0 | 1 => {
-                if field == attr {
-                    return None;
-                }
-                at += 8;
-            }
-            2 => {
-                if field == attr {
-                    return None;
-                }
-                let len = u32::from_le_bytes(data[at..at + 4].try_into().unwrap()) as usize;
-                at += 4 + len;
-            }
-            3 => {
-                let n = u16::from_le_bytes(data[at..at + 2].try_into().unwrap()) as usize;
-                at += 2;
-                if field == attr {
-                    // Alternatives are stored in descending-probability
-                    // order, so the first encoded pair is `first()`.
-                    debug_assert!(n >= 1, "a PMF needs at least one alternative");
-                    let v = u64::from_le_bytes(data[at..at + 8].try_into().unwrap());
-                    let p = f64::from_le_bytes(data[at + 8..at + 16].try_into().unwrap());
-                    return Some((exist, (v, p)));
-                }
-                at += 16 * n;
-            }
-            4 => {
-                if field == attr {
-                    return None;
-                }
-                at += 32;
-            }
-            t => panic!("corrupt field tag {t}"),
+        let len = match tag {
+            0 | 1 => 8,
+            2 => 4 + u32::from_le_bytes(bytes_at(data, at)?) as usize,
+            3 => 2 + 16 * u16::from_le_bytes(bytes_at(data, at)?) as usize,
+            4 => 32,
+            _ => return None,
+        };
+        let body = take(at, len)?;
+        if field == attr {
+            return (tag == 3 && len > 2).then(|| (exist, &body[2..]));
         }
+        at += len;
     }
     None
+}
+
+/// The `N` bytes of `data` at `at`, if they are all there.
+fn bytes_at<const N: usize>(data: &[u8], at: usize) -> Option<[u8; N]> {
+    data.get(at..at.checked_add(N)?)?.try_into().ok()
+}
+
+/// Decode encoded `(value u64, prob f64)` pairs.
+fn encoded_alts(alts: &[u8]) -> impl Iterator<Item = (u64, f64)> + '_ {
+    alts.chunks_exact(16).map(|pair| {
+        let half = |at| bytes_at(pair, at).expect("a pair is two 8-byte halves");
+        (u64::from_le_bytes(half(0)), f64::from_le_bytes(half(8)))
+    })
 }
 
 /// Deserialize a tuple produced by [`encode_tuple`].
@@ -347,6 +397,97 @@ mod tests {
         assert_eq!(peek_first_alt(&enc, 1), None);
         assert_eq!(peek_first_alt(&enc, 3), None);
         assert_eq!(peek_first_alt(&enc, 9), None);
+    }
+
+    /// The index keys' probability grid (`upi_storage::codec`), so the
+    /// test sums the same rounded terms the scans do.
+    fn key_grid(p: f64) -> f64 {
+        use upi_storage::codec::{dequantize_prob, quantize_prob};
+        dequantize_prob(quantize_prob(p))
+    }
+
+    /// A tuple whose discrete fields 2 and 4 hold the given PMFs, with a
+    /// string, a certain id and a point around them.
+    fn mixed_tuple(exist: f64, pad: String, pmf: DiscretePmf) -> Tuple {
+        Tuple::new(
+            TupleId(9),
+            exist,
+            vec![
+                Field::Certain(Datum::Str(pad)),
+                Field::Certain(Datum::U64(7)),
+                Field::Discrete(pmf),
+                Field::Point(ConstrainedGaussian::new(1.0, 2.0, 3.0, 4.0)),
+                Field::Discrete(DiscretePmf::new(vec![(5, 0.6), (6, 0.3)])),
+            ],
+        )
+    }
+
+    #[test]
+    fn peek_folded_mass_falls_back_on_unreadable_fields() {
+        let t = mixed_tuple(0.7, "pad".into(), DiscretePmf::new(vec![(1, 0.5)]));
+        let enc = encode_tuple(&t);
+        // Non-discrete and out-of-range fields peek as None: the caller
+        // decodes the row instead of dropping it.
+        for attr in [0, 1, 3, 5, 99] {
+            assert_eq!(peek_folded_mass(&enc, attr, 0, u64::MAX, key_grid), None);
+        }
+        // Truncated bytes and an empty PMF are malformed: None, not a
+        // panic and not a zero mass.
+        for cut in [0, 10, 17, 30, enc.len() - 1] {
+            assert_eq!(peek_folded_mass(&enc[..cut], 4, 0, 9, key_grid), None);
+            assert_eq!(peek_first_alt(&enc[..cut], 4), None);
+        }
+        let mut empty = enc.clone();
+        let pmf_len_at = enc.len() - 2 - 32;
+        empty.truncate(pmf_len_at);
+        empty.extend_from_slice(&0u16.to_le_bytes());
+        assert_eq!(peek_folded_mass(&empty, 4, 0, 9, key_grid), None);
+        // Readable fields still peek.
+        assert_eq!(
+            peek_folded_mass(&enc, 4, 6, 6, key_grid),
+            Some(key_grid(0.3 * 0.7))
+        );
+    }
+
+    proptest! {
+        /// The pre-decode peek equals the decoded tuple's confidence to
+        /// the bit — for point predicates (`lo = hi`, present or absent)
+        /// and ranges — on random PMFs with `exist < 1`, so filtering on
+        /// the peek drops exactly the rows the post-decode check drops.
+        #[test]
+        fn peek_folded_mass_matches_decoded_confidence_to_the_bit(
+            exist in 0.01f64..0.999,
+            raw in proptest::collection::vec(0.001f64..0.6, 1..9),
+            lo in 0u64..30,
+            span in 0u64..12,
+            pad in "[a-z]{0,24}",
+        ) {
+            let total: f64 = raw.iter().sum();
+            let alts: Vec<(u64, f64)> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| ((i as u64 * 7) % 27, p / total.max(1.0)))
+                .collect();
+            let t = mixed_tuple(exist, pad, DiscretePmf::new(alts.clone()));
+            let enc = encode_tuple(&t);
+            let decoded = decode_tuple(&enc);
+            for attr in [2, 4] {
+                let (lo, hi) = (lo, lo + span);
+                let peeked = peek_folded_mass(&enc, attr, lo, hi, key_grid).unwrap();
+                let want = decoded.folded_mass(attr, lo, hi, key_grid);
+                prop_assert_eq!(peeked.to_bits(), want.to_bits());
+            }
+            for v in alts.iter().map(|a| a.0).chain([1000]) {
+                let peeked = peek_folded_mass(&enc, 2, v, v, key_grid).unwrap();
+                prop_assert_eq!(
+                    peeked.to_bits(),
+                    decoded.folded_mass(2, v, v, key_grid).to_bits()
+                );
+                // The point form is `existence × P(v)` on the grid; the
+                // two differ at most in the sign of a zero mass.
+                prop_assert_eq!(peeked, key_grid(decoded.confidence_eq(2, v)));
+            }
+        }
     }
 
     #[test]
