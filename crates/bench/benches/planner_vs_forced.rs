@@ -102,9 +102,13 @@ fn fingerprint(out: &QueryOutput) -> Vec<(u64, u64)> {
     }
 }
 
-/// Execute the planner's choice and each forced candidate cold; check
-/// agreement and the optimality bound. When `samples` is given (the cold
-/// pass), every forced execution feeds the calibration store.
+/// Plan on a cold pool, execute the planner's choice and each forced
+/// candidate cold; check agreement and the optimality bound. Planning
+/// cold matters because the planner prices pages the pool already holds
+/// at zero device ms: a plan priced on the previous point's leftover
+/// frames would be measured against a pool that no longer holds them.
+/// When `samples` is given (the cold pass), every forced execution feeds
+/// the calibration store.
 fn run_point(
     label: &str,
     q: &PtqQuery,
@@ -114,6 +118,7 @@ fn run_point(
     max_ratio: f64,
     metrics: &mut MetricsRegistry,
 ) -> CaseRecord {
+    store.go_cold();
     let plan = q.plan(catalog).expect("planner must find a path");
     if std::env::var("UPI_PLANNER_EXPLAIN").is_ok() {
         eprintln!("--- {label}\n{}", plan.explain());
@@ -135,7 +140,7 @@ fn run_point(
     let cost = &plan.candidates[0].cost;
     metrics.record_query(
         cost.kind,
-        plan.est_ms(),
+        cost.device_ms(),
         chosen.sim_ms,
         chosen_out.len() as u64,
         chosen_out.io.as_ref(),

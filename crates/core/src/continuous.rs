@@ -355,6 +355,16 @@ impl ContinuousUpi {
         self.rtree.stats()
     }
 
+    /// The storage file backing the R-Tree.
+    pub fn rtree_file(&self) -> FileId {
+        self.rtree.file()
+    }
+
+    /// The storage file backing the clustered heap pages.
+    pub fn heap_file(&self) -> FileId {
+        self.heap_file
+    }
+
     /// Live bytes (R-Tree nodes + heap pages).
     pub fn total_bytes(&self) -> u64 {
         let rtree_bytes = (self.rtree.stats().leaf_pages + self.rtree.stats().internal_pages)
@@ -447,6 +457,11 @@ impl SecondaryUTree {
     /// R-Tree statistics.
     pub fn stats(&self) -> RTreeStats {
         self.rtree.stats()
+    }
+
+    /// The storage file backing the R-Tree.
+    pub fn file(&self) -> FileId {
+        self.rtree.file()
     }
 
     /// The indexed point field.
@@ -586,6 +601,11 @@ impl ContinuousSecondary {
     /// Height of the backing tree (cost-model `H`).
     pub fn height(&self) -> usize {
         self.tree.height()
+    }
+
+    /// The storage file backing the index.
+    pub fn file(&self) -> FileId {
+        self.tree.file()
     }
 
     /// Histogram statistics of the indexed attribute (folded

@@ -268,6 +268,17 @@ pub fn estimate_cutoff_pointers(upi: &DiscreteUpi, value: u64, qt: f64) -> f64 {
     upi.attr_stats().est_cutoff_pointers(value, qt, c)
 }
 
+/// Estimated cutoff pointers a range PTQ `[lo, hi]` at `qt` dereferences
+/// in its second phase: the below-cutoff alternatives at or above `qt`
+/// across the range's values. Zero when `qt ≥ C`.
+pub fn estimate_range_cutoff_pointers(upi: &DiscreteUpi, lo: u64, hi: u64, qt: f64) -> f64 {
+    let c = upi.config().cutoff;
+    if qt >= c {
+        return 0.0;
+    }
+    upi.attr_stats().est_cutoff_pointers_range(lo, hi, qt, c)
+}
+
 /// Estimated fraction of the heap file a PTQ `(value, qt)` scans:
 /// alternatives at/above `max(qt, C)` plus the first alternatives in
 /// `[qt, C)`, which Algorithm 1 keeps heap-resident.

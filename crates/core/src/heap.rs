@@ -99,6 +99,11 @@ impl UnclusteredHeap {
         self.tree.height()
     }
 
+    /// The storage file backing the heap.
+    pub fn file(&self) -> upi_storage::FileId {
+        self.tree.file()
+    }
+
     /// Tree statistics of the backing file (cost-model `S_table`,
     /// `N_leaf`, `H`).
     pub fn stats(&self) -> TreeStats {

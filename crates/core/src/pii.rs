@@ -195,6 +195,11 @@ impl Pii {
         self.tree.height()
     }
 
+    /// The storage file backing the inverted lists.
+    pub fn file(&self) -> upi_storage::FileId {
+        self.tree.file()
+    }
+
     /// Histogram statistics of the indexed attribute (folded
     /// probabilities) — selectivity estimation for the planner.
     pub fn stats(&self) -> &AttrStats {

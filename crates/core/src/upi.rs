@@ -486,6 +486,11 @@ impl DiscreteUpi {
         self.heap.stats()
     }
 
+    /// The storage file backing the clustered heap.
+    pub fn heap_file(&self) -> upi_storage::FileId {
+        self.heap.file()
+    }
+
     /// The cutoff index.
     pub fn cutoff_index(&self) -> &CutoffIndex {
         &self.cutoff

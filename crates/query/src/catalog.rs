@@ -4,7 +4,7 @@ use upi::{
     ContinuousSecondary, ContinuousUpi, DiscreteUpi, FracturedUpi, Pii, SecondaryUTree,
     UnclusteredHeap,
 };
-use upi_storage::{BufferPool, DiskConfig};
+use upi_storage::{BufferPool, DiskConfig, FileId};
 
 use crate::cost::CostModel;
 
@@ -168,5 +168,20 @@ impl<'a> Catalog<'a> {
     pub fn with_query_id(mut self, qid: upi_storage::QueryId) -> Catalog<'a> {
         self.query_id = Some(qid);
         self
+    }
+
+    /// The smallest resident fraction among `files` in the registered
+    /// buffer pool — the share of a candidate's reads expected to hit,
+    /// bounded by its least-cached file. 0 (price cold) without a pool
+    /// or without files.
+    pub fn cached_fraction(&self, files: impl IntoIterator<Item = FileId>) -> f64 {
+        let Some(pool) = self.pool else {
+            return 0.0;
+        };
+        files
+            .into_iter()
+            .map(|f| pool.resident_fraction(f))
+            .reduce(f64::min)
+            .unwrap_or(0.0)
     }
 }

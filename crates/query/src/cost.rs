@@ -14,7 +14,8 @@
 //! Each candidate's estimate is decomposed as
 //!
 //! ```text
-//! est_ms = fixed_ms + scale(kind) · dominant_ms
+//! est_ms = (1 − cached) · (fixed_ms + scale(kind) · dominant_ms) + host_ms
+//!          \___________ device ms: the pages that will miss ___/   \ CPU /
 //! ```
 //!
 //! * `fixed_ms` — file opens and tree descents (`Cost_init + H·T_descend`
@@ -25,6 +26,19 @@
 //!   lives, and the only term calibration touches.
 //! * `scale(kind)` — a dimensionless per-[`PathKind`] coefficient,
 //!   initially 1.0, refit from observed executions.
+//! * `cached` — the smallest fraction of any file the candidate reads
+//!   that the buffer pool holds right now
+//!   (`BufferPool::resident_fraction`; 0 without a registered pool). The
+//!   §6 models price a cold read; a page the pool holds costs no device
+//!   time, so the cold price is scaled by the share expected to miss.
+//! * `host_ms` — deterministic host work: B+Tree entries walked times
+//!   [`HOST_MS_PER_ENTRY`] plus point fetches (root-to-leaf seeks) times
+//!   [`HOST_MS_PER_FETCH`]. Negligible next to a cold read, it is what
+//!   ranks candidates once the pool holds every page they touch.
+//!
+//! Cold (`cached = 0`), the device part is exactly the §6 estimate, so
+//! cold plans and the figure estimates in `upi::cost` do not move;
+//! calibration records and refits the cold `(fixed, dominant)` pair only.
 //!
 //! ## The calibration loop
 //!
@@ -69,12 +83,22 @@ pub enum PathKind {
     /// Pointer-chasing probes over an unclustered or page-collapsed heap
     /// (`PiiProbe`, `PiiRange`, `UTreeCircle`, `ContinuousSecondaryProbe`).
     PiiProbe,
-    /// Sequential scans (`HeapScan`, `UpiFullScan`, `ContinuousCircle`).
+    /// Sequential scans (`HeapScan`, `UpiFullScan`).
     Scan,
+    /// R-Tree probe plus a clustered, leaf-order read of the qualifying
+    /// region (`ContinuousCircle`). Its estimate is almost all fixed
+    /// term (opens + descent), so sharing a scale with the scans would
+    /// let its small-dominant samples drive the scan scale to its bound.
+    SpatialRun,
 }
 
 /// Number of [`PathKind`] variants (array sizing).
-pub const N_PATH_KINDS: usize = 6;
+pub const N_PATH_KINDS: usize = 7;
+
+/// Kinds in payloads written before [`PathKind::SpatialRun`] existed
+/// (calibration-store format version 1): the first six of
+/// [`PathKind::ALL`].
+pub const N_PATH_KINDS_V1: usize = 6;
 
 impl PathKind {
     /// All kinds, in index order.
@@ -85,6 +109,7 @@ impl PathKind {
         PathKind::FracturedMerge,
         PathKind::PiiProbe,
         PathKind::Scan,
+        PathKind::SpatialRun,
     ];
 
     /// Dense index for per-kind arrays.
@@ -96,6 +121,7 @@ impl PathKind {
             PathKind::FracturedMerge => 3,
             PathKind::PiiProbe => 4,
             PathKind::Scan => 5,
+            PathKind::SpatialRun => 6,
         }
     }
 
@@ -108,40 +134,70 @@ impl PathKind {
             PathKind::FracturedMerge => "fractured-merge",
             PathKind::PiiProbe => "pii-probe",
             PathKind::Scan => "scan",
+            PathKind::SpatialRun => "spatial-run",
         }
     }
 }
 
 /// The priced decomposition of one candidate (see the module docs):
-/// `est_ms() = fixed_ms + scale · dominant_ms`. Carried on every
-/// `CandidatePlan` so an executed plan can hand the exact ingredients of
-/// its estimate back to the [`CalibrationStore`], and so `explain()` can
-/// show raw next to calibrated.
+/// `est_ms() = (1 − cached) · (fixed_ms + scale · dominant_ms) + host_ms`.
+/// Carried on every `CandidatePlan` so an executed plan can hand the
+/// exact ingredients of its estimate back to the [`CalibrationStore`],
+/// and so `explain()` can show raw next to calibrated.
 #[derive(Debug, Clone, Copy)]
 pub struct PathCost {
     /// Which calibration family priced this candidate.
     pub kind: PathKind,
-    /// Opens + descents, ms — never rescaled.
+    /// Opens + descents, cold device ms — never rescaled.
     pub fixed_ms: f64,
-    /// The data-dependent term, ms, **before** calibration.
+    /// The data-dependent term, cold device ms, **before** calibration.
     pub dominant_ms: f64,
     /// The per-kind scale in force when this candidate was priced.
     pub scale: f64,
     /// Samples behind that scale at pricing time.
     pub samples: usize,
+    /// Resident fraction, in `[0, 1]`, of the least-cached file the
+    /// candidate reads when it was priced.
+    pub cached: f64,
+    /// Estimated host work, ms ([`HOST_MS_PER_ENTRY`],
+    /// [`HOST_MS_PER_FETCH`]).
+    pub host_ms: f64,
 }
 
 impl PathCost {
-    /// The calibrated estimate: `fixed + scale · dominant`.
+    /// The ranking estimate: expected device ms plus host work.
     pub fn est_ms(&self) -> f64 {
+        self.device_ms() + self.host_ms
+    }
+
+    /// The expected device part: the calibrated cold price of the share
+    /// of pages that will miss, `(1 − cached) · (fixed + scale · dominant)`.
+    /// What observed device ms should be compared against.
+    pub fn device_ms(&self) -> f64 {
+        (1.0 - self.cached) * self.calibrated_ms()
+    }
+
+    /// The calibrated cold device estimate: `fixed + scale · dominant`.
+    pub fn calibrated_ms(&self) -> f64 {
         self.fixed_ms + self.scale * self.dominant_ms
     }
 
-    /// The raw (uncalibrated) §6 estimate: `fixed + dominant`.
+    /// The raw (uncalibrated) cold §6 estimate: `fixed + dominant`.
     pub fn raw_ms(&self) -> f64 {
         self.fixed_ms + self.dominant_ms
     }
 }
+
+/// Host ms per B+Tree entry a cursor walks: about 130 ns, the traced
+/// `btree.advance_ns` of the repository benchmark's warm point workload
+/// (2-core x86-64 host).
+pub const HOST_MS_PER_ENTRY: f64 = 130e-6;
+
+/// Host ms per point fetch — one root-to-leaf B+Tree seek (a cutoff or
+/// secondary pointer dereference, or a cursor's initial positioning):
+/// about 4 µs, from the same benchmark's traced `btree.seek_us`
+/// (3.5–5 µs).
+pub const HOST_MS_PER_FETCH: f64 = 4e-3;
 
 /// Hard bounds on any calibrated scale — a coefficient outside this range
 /// means the model shape is wrong, not mis-scaled, and refit refuses to
@@ -234,11 +290,12 @@ impl CalibrationStore {
     }
 
     /// Serialize the sample rings (for the durability checkpoint's
-    /// session payload). Format: version byte, then per kind a `u32`
-    /// count followed by `(dominant_ms, excess_ms)` little-endian `f64`
-    /// pairs.
+    /// session payload). Format: version byte (2: one ring per
+    /// [`PathKind::ALL`] entry; version 1 had the first
+    /// [`N_PATH_KINDS_V1`]), then per kind a `u32` count followed by
+    /// `(dominant_ms, excess_ms)` little-endian `f64` pairs.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = vec![1u8];
+        let mut out = vec![2u8];
         for v in &self.samples {
             out.extend_from_slice(&(v.len() as u32).to_le_bytes());
             for s in v {
@@ -250,8 +307,9 @@ impl CalibrationStore {
     }
 
     /// Inverse of [`to_bytes`](Self::to_bytes); `None` on any malformed
-    /// or version-mismatched payload (the caller falls back to an empty
-    /// store — losing calibration history is degraded, not fatal).
+    /// or unknown-version payload (the caller falls back to an empty
+    /// store — losing calibration history is degraded, not fatal). A
+    /// version-1 payload loads with the kinds added since left empty.
     pub fn from_bytes(data: &[u8]) -> Option<CalibrationStore> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
@@ -259,11 +317,13 @@ impl CalibrationStore {
             *pos += n;
             Some(s)
         };
-        if *take(&mut pos, 1)?.first()? != 1 {
-            return None;
-        }
+        let kinds = match *take(&mut pos, 1)?.first()? {
+            1 => N_PATH_KINDS_V1,
+            2 => N_PATH_KINDS,
+            _ => return None,
+        };
         let mut store = CalibrationStore::new();
-        for v in &mut store.samples {
+        for v in &mut store.samples[..kinds] {
             let n = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
             if n > MAX_SAMPLES_PER_KIND {
                 return None;
@@ -361,16 +421,38 @@ impl CostModel {
         self
     }
 
-    /// Price a candidate: attach the current per-kind scale to the
-    /// `(fixed, dominant)` decomposition.
-    pub fn price(&self, kind: PathKind, fixed_ms: f64, dominant_ms: f64) -> PathCost {
+    /// Price a candidate: attach the current per-kind scale to the cold
+    /// `(fixed, dominant)` decomposition, with the resident fraction
+    /// `cached` of its least-cached file and its host work `host_ms`
+    /// (see the module docs). A `cached` outside `[0, 1]` is clamped, and
+    /// a non-finite one prices cold.
+    pub fn price(
+        &self,
+        kind: PathKind,
+        fixed_ms: f64,
+        dominant_ms: f64,
+        cached: f64,
+        host_ms: f64,
+    ) -> PathCost {
         PathCost {
             kind,
             fixed_ms,
             dominant_ms,
             scale: self.scale(kind),
             samples: self.samples(kind),
+            cached: if cached.is_finite() {
+                cached.clamp(0.0, 1.0)
+            } else {
+                0.0
+            },
+            host_ms,
         }
+    }
+
+    /// Host work of a cursor that walks `entries` B+Tree entries and pays
+    /// `fetches` root-to-leaf seeks, ms.
+    pub fn host_ms(&self, entries: f64, fetches: f64) -> f64 {
+        entries * HOST_MS_PER_ENTRY + fetches * HOST_MS_PER_FETCH
     }
 
     /// `Cost_init + H · T_descend`: open a file and descend its tree
@@ -555,11 +637,87 @@ mod tests {
     #[test]
     fn pricing_applies_the_kind_scale_to_the_dominant_term_only() {
         let m = model().with_scale(PathKind::PiiProbe, 0.5);
-        let c = m.price(PathKind::PiiProbe, 100.0, 40.0);
+        let c = m.price(PathKind::PiiProbe, 100.0, 40.0, 0.0, 0.0);
         assert_eq!(c.raw_ms(), 140.0);
         assert_eq!(c.est_ms(), 120.0, "fixed term must not be rescaled");
-        let untouched = m.price(PathKind::Scan, 100.0, 40.0);
+        let untouched = m.price(PathKind::Scan, 100.0, 40.0, 0.0, 0.0);
         assert_eq!(untouched.est_ms(), 140.0);
+    }
+
+    #[test]
+    fn residency_discounts_the_device_part_and_host_work_adds() {
+        let m = model().with_scale(PathKind::PiiProbe, 0.5);
+        let host = m.host_ms(1000.0, 10.0);
+        assert!((host - (1000.0 * HOST_MS_PER_ENTRY + 10.0 * HOST_MS_PER_FETCH)).abs() < 1e-12);
+        // Half the pages resident: half the calibrated cold price misses.
+        let c = m.price(PathKind::PiiProbe, 100.0, 40.0, 0.5, host);
+        assert_eq!(c.calibrated_ms(), 120.0);
+        assert_eq!(c.device_ms(), 60.0);
+        assert!((c.est_ms() - (60.0 + host)).abs() < 1e-12);
+        assert_eq!(c.raw_ms(), 140.0, "raw stays the cold §6 price");
+        // Fully resident: host work alone ranks.
+        let warm = m.price(PathKind::PiiProbe, 100.0, 40.0, 1.0, host);
+        assert_eq!(warm.device_ms(), 0.0);
+        assert_eq!(warm.est_ms(), host);
+        // Out-of-range and non-finite residency never produce a NaN.
+        assert_eq!(
+            m.price(PathKind::Scan, 10.0, 0.0, 7.0, 0.0).device_ms(),
+            0.0
+        );
+        for bad in [f64::NAN, -f64::NAN, f64::INFINITY] {
+            let c = m.price(PathKind::Scan, 10.0, 0.0, bad, 0.0);
+            assert_eq!(c.est_ms(), 10.0, "non-finite residency prices cold");
+        }
+    }
+
+    #[test]
+    fn spatial_runs_calibrate_apart_from_scans() {
+        // A fixed-heavy spatial-run estimate with a tiny dominant term
+        // observes a 10x excess; sharing a kind, those samples would drag
+        // the scan scale to its bound.
+        let mut store = CalibrationStore::new();
+        for _ in 0..3 {
+            store.record(PathKind::SpatialRun, 212.0, 1.0, 222.0);
+            store.record(PathKind::Scan, 5.0, 140.0, 150.0);
+        }
+        let mut m = model();
+        m.refit(&store);
+        assert!(
+            (m.scale(PathKind::Scan) - 1.0).abs() < 0.05,
+            "{}",
+            m.scale(PathKind::Scan)
+        );
+        assert_eq!(m.scale(PathKind::SpatialRun), REFIT_MAX_STEP);
+    }
+
+    #[test]
+    fn store_payload_round_trips_and_version_1_still_loads() {
+        let mut store = CalibrationStore::new();
+        store.record(PathKind::Scan, 1.0, 10.0, 12.0);
+        store.record(PathKind::SpatialRun, 1.0, 2.0, 9.0);
+        let bytes = store.to_bytes();
+        let back = CalibrationStore::from_bytes(&bytes).expect("round trip");
+        assert_eq!(back.len(PathKind::Scan), 1);
+        assert_eq!(back.len(PathKind::SpatialRun), 1);
+        assert_eq!(back.to_bytes(), bytes);
+
+        // A version-1 payload: six rings, no spatial-run ring.
+        let mut v1 = vec![1u8];
+        for kind in &PathKind::ALL[..N_PATH_KINDS_V1] {
+            let n: u32 = if *kind == PathKind::PointMerge { 1 } else { 0 };
+            v1.extend_from_slice(&n.to_le_bytes());
+            if n == 1 {
+                v1.extend_from_slice(&4.0f64.to_le_bytes());
+                v1.extend_from_slice(&2.0f64.to_le_bytes());
+            }
+        }
+        let old = CalibrationStore::from_bytes(&v1).expect("version 1 loads");
+        assert_eq!(old.len(PathKind::PointMerge), 1);
+        assert_eq!(old.len(PathKind::SpatialRun), 0);
+        // Truncated, extended, and unknown-version payloads are rejected.
+        assert!(CalibrationStore::from_bytes(&bytes[..bytes.len() - 1]).is_none());
+        assert!(CalibrationStore::from_bytes(&[bytes.clone(), vec![0]].concat()).is_none());
+        assert!(CalibrationStore::from_bytes(&[3u8]).is_none());
     }
 
     #[test]

@@ -880,7 +880,7 @@ fn build_trace(
         if i == 0 {
             span.est_rows = chosen.est_rows;
             span.est_pages = chosen.est_pages;
-            span.est_ms = Some(chosen.est_ms);
+            span.est_ms = Some(chosen.cost.device_ms());
             if let Some(io) = io {
                 span.demand_pages = Some(io.demand_pages());
                 span.prefetch_pages = Some(io.sequential_pages());

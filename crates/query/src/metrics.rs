@@ -101,7 +101,9 @@ struct KindMetrics {
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     kinds: [KindMetrics; N_PATH_KINDS],
-    /// `observed_ms / estimated_ms` per query — the misestimation ratio.
+    /// `observed device ms / estimated device ms` per query — the
+    /// misestimation ratio. The estimate's host-work term is left out:
+    /// the observed side is device time only.
     misest: Log2Histogram,
     /// Sum of per-query buffer-pool deltas (only queries that saw a pool).
     io: PoolCounters,
@@ -143,11 +145,14 @@ impl MetricsRegistry {
         }
     }
 
-    /// Record one executed query.
+    /// Record one executed query: `est_device_ms` is the device part of
+    /// its estimate (`PathCost::device_ms`), `observed_ms` its attributed
+    /// device time. A query estimated to miss nothing (a fully resident
+    /// plan) adds no misestimation sample.
     pub fn record_query(
         &mut self,
         kind: PathKind,
-        est_ms: f64,
+        est_device_ms: f64,
         observed_ms: f64,
         rows: u64,
         io: Option<&PoolCounters>,
@@ -156,8 +161,8 @@ impl MetricsRegistry {
         k.queries += 1;
         k.device_ms.record(observed_ms);
         self.query_device_ms += observed_ms.max(0.0);
-        if est_ms > 0.0 {
-            self.misest.record(observed_ms / est_ms);
+        if est_device_ms > 0.0 {
+            self.misest.record(observed_ms / est_device_ms);
         }
         self.rows += rows;
         if let Some(d) = io {

@@ -43,7 +43,9 @@ pub struct TraceSpan {
     pub est_rows: Option<f64>,
     /// Planner-estimated pages read.
     pub est_pages: Option<f64>,
-    /// Planner-estimated simulated ms (calibrated).
+    /// Planner-estimated simulated device ms: the calibrated cold price
+    /// of the pages expected to miss (`PathCost::device_ms`; host work
+    /// excluded, since the observed column is device time).
     pub est_ms: Option<f64>,
     /// Span start on the per-query attributed device clock, ms.
     pub start_ms: f64,

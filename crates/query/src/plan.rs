@@ -77,9 +77,8 @@ impl AccessPath {
             | AccessPath::PiiRange { .. }
             | AccessPath::UTreeCircle
             | AccessPath::ContinuousSecondaryProbe { .. } => PathKind::PiiProbe,
-            AccessPath::HeapScan | AccessPath::UpiFullScan | AccessPath::ContinuousCircle => {
-                PathKind::Scan
-            }
+            AccessPath::HeapScan | AccessPath::UpiFullScan => PathKind::Scan,
+            AccessPath::ContinuousCircle => PathKind::SpatialRun,
         }
     }
 
@@ -133,8 +132,8 @@ impl AccessPath {
 pub struct CandidatePlan {
     /// The access path.
     pub path: AccessPath,
-    /// Estimated simulated-disk milliseconds (calibrated:
-    /// `cost.est_ms()`).
+    /// The ranking estimate, ms: expected device ms of the pages that
+    /// will miss plus host work (`cost.est_ms()`; see [`crate::cost`]).
     pub est_ms: f64,
     /// The estimate's decomposition — path kind, fixed vs. dominant term,
     /// and the calibration scale in force — so an executed plan can feed
@@ -198,7 +197,7 @@ impl PhysicalPlan {
         &self.candidates[0].path
     }
 
-    /// Estimated cost of the chosen path, simulated-disk ms.
+    /// Ranking estimate of the chosen path, ms (device + host).
     pub fn est_ms(&self) -> f64 {
         self.candidates[0].est_ms
     }
@@ -255,13 +254,17 @@ impl PhysicalPlan {
         ));
         let cost = &self.candidates[0].cost;
         out.push_str(&format!(
-            "cost model: {} raw {:.1} ms -> calibrated {:.1} ms (scale {:.2}, {} sample{})\n",
+            "cost model: {} raw {:.1} ms -> calibrated {:.1} ms (scale {:.2}, {} sample{}); \
+             cached {:.2} -> device {:.1} ms + host {:.3} ms\n",
             cost.kind.label(),
             cost.raw_ms(),
-            cost.est_ms(),
+            cost.calibrated_ms(),
             cost.scale,
             cost.samples,
-            if cost.samples == 1 { "" } else { "s" }
+            if cost.samples == 1 { "" } else { "s" },
+            cost.cached,
+            cost.device_ms(),
+            cost.host_ms
         ));
         for line in operator_tree(&self.query, self.path()) {
             out.push_str(&format!("  {line}\n"));
@@ -298,13 +301,19 @@ impl PhysicalPlan {
                 io.flush_errors
             ));
         }
-        out.push_str("candidates:\n");
+        out.push_str(
+            "candidates: est = (1 - cached) * calibrated device + host, ms; raw/cal are cold device ms\n",
+        );
         for (i, c) in self.candidates.iter().enumerate() {
             let marker = if i == 0 { "  <- chosen" } else { "" };
             out.push_str(&format!(
-                "  {:<34} {:>12.1} ms{}  [{}]\n",
+                "  {:<34} {:>12.3} ms  (raw {:.1}, cal {:.1}, cached {:.2}, host {:.3}){}  [{}]\n",
                 c.path.label(),
                 c.est_ms,
+                c.cost.raw_ms(),
+                c.cost.calibrated_ms(),
+                c.cost.cached,
+                c.cost.host_ms,
                 marker,
                 c.note
             ));

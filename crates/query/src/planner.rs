@@ -29,8 +29,17 @@
 //!
 //! ## Coefficients, units, and calibration
 //!
-//! Every estimate decomposes as `est = fixed + scale(kind) · dominant`
-//! (see [`crate::cost`] for the full contract):
+//! Every estimate decomposes as
+//! `est = (1 − cached) · (fixed + scale(kind) · dominant) + host_ms`
+//! (see [`crate::cost`] for the full contract): the §6 models above price
+//! the cold `(fixed, dominant)` device pair; `cached` is the smallest
+//! resident fraction, in the catalog's buffer pool, of the files the
+//! candidate reads (heap, cutoff index, secondary, every fracture
+//! component); `host_ms` prices the entries the candidate's cursor walks
+//! and the root-to-leaf seeks it pays. Cold, the estimate is the §6 one
+//! plus a small host term; on a pool that holds everything, host work
+//! alone ranks the candidates — a warm below-cutoff probe runs
+//! Algorithm 2 rather than the full scan a cold read would favour.
 //!
 //! * **Device coefficients** (`upi::DeviceCoeffs`, all unit-documented on
 //!   the type): `t_seek_ms` [ms/seek], `seek_floor_ms` [ms/move],
@@ -47,11 +56,19 @@
 //!   and hard-clamped to
 //!   [`SCALE_MIN`](crate::cost::SCALE_MIN)..[`SCALE_MAX`](crate::cost::SCALE_MAX),
 //!   so feedback cannot oscillate the plan choice. `explain()` shows raw
-//!   next to calibrated cost with the sample count behind the scale.
+//!   next to calibrated cost with the sample count behind the scale, and
+//!   each candidate's `cached` fraction and `host_ms`.
+//! * **Host constants** [ms/entry, ms/fetch]:
+//!   [`HOST_MS_PER_ENTRY`](crate::cost::HOST_MS_PER_ENTRY) and
+//!   [`HOST_MS_PER_FETCH`](crate::cost::HOST_MS_PER_FETCH), named
+//!   constants measured on a warm pool, never refit.
+//!
+//! Candidates rank by ascending estimate with `f64::total_cmp`; a NaN
+//! estimate ranks last instead of panicking the sort.
 
 use upi::cost::{self};
 use upi::{DiscreteUpi, SecondaryIndex, UnclusteredHeap};
-use upi_storage::AccessHint;
+use upi_storage::{AccessHint, FileId};
 
 use crate::catalog::Catalog;
 use crate::cost::CostModel;
@@ -84,16 +101,72 @@ fn tailored_visits(sec: &SecondaryIndex, value: u64, n: f64) -> f64 {
     sec.pointer_regions().expected_visits(value, n)
 }
 
+/// The part of a candidate's price the cold §6 models do not see: how
+/// much of what it reads the buffer pool already holds, and the host
+/// work it does (see [`crate::cost`]).
+#[derive(Debug, Clone, Copy)]
+struct Warmth {
+    /// Resident fraction of the least-cached file the candidate reads.
+    cached: f64,
+    /// Host work, ms.
+    host_ms: f64,
+}
+
+/// [`Warmth`] of a candidate that reads `files`, walks `entries` B+Tree
+/// entries and pays `fetches` root-to-leaf seeks.
+fn warmth(
+    catalog: &Catalog<'_>,
+    files: impl IntoIterator<Item = FileId>,
+    entries: f64,
+    fetches: f64,
+) -> Warmth {
+    Warmth {
+        cached: catalog.cached_fraction(files),
+        host_ms: catalog.cost.host_ms(entries, fetches),
+    }
+}
+
+/// Host work `(entries walked, point fetches)` of an unbounded point
+/// probe on one UPI: the heap run, plus (below C) the cutoff list and one
+/// heap fetch per cutoff pointer (Algorithm 2).
+fn point_work(upi: &DiscreteUpi, value: u64, qt: f64) -> (f64, f64) {
+    let run = upi
+        .attr_stats()
+        .est_heap_count_ge(value, qt, upi.config().cutoff);
+    let pointers = cost::estimate_cutoff_pointers(upi, value, qt);
+    if qt < upi.config().cutoff {
+        (run + pointers, 2.0 + pointers)
+    } else {
+        (run, 1.0)
+    }
+}
+
+/// Files a point probe on one UPI reads: the heap, plus the cutoff index
+/// when the probe consults it.
+fn point_files(upi: &DiscreteUpi, uses_cutoff: bool) -> Vec<FileId> {
+    let mut files = vec![upi.heap_file()];
+    if uses_cutoff {
+        files.push(upi.cutoff_index().file());
+    }
+    files
+}
+
 /// Build a [`CandidatePlan`] from a priced decomposition.
 fn candidate(
     model: &CostModel,
     path: AccessPath,
-    fixed_ms: f64,
-    dominant_ms: f64,
+    (fixed_ms, dominant_ms): (f64, f64),
+    warm: Warmth,
     note: String,
     hints: Vec<AccessHint>,
 ) -> CandidatePlan {
-    let cost = model.price(path.kind(), fixed_ms, dominant_ms);
+    let cost = model.price(
+        path.kind(),
+        fixed_ms,
+        dominant_ms,
+        warm.cached,
+        warm.host_ms,
+    );
     CandidatePlan {
         path,
         est_ms: cost.est_ms(),
@@ -235,11 +308,25 @@ pub(crate) fn plan(q: &PtqQuery, catalog: &Catalog<'_>) -> Result<PhysicalPlan, 
             ),
         });
     }
-    cands.sort_by(|a, b| a.est_ms.partial_cmp(&b.est_ms).unwrap());
+    rank(&mut cands);
     Ok(PhysicalPlan {
         query: q.clone(),
         candidates: cands,
     })
+}
+
+/// Order candidates by ascending estimate, stably (ties keep enumeration
+/// order). A NaN estimate ranks last, whatever its sign bit, instead of
+/// panicking the comparison or winning it.
+fn rank(cands: &mut [CandidatePlan]) {
+    let key = |c: &CandidatePlan| {
+        if c.est_ms.is_nan() {
+            f64::INFINITY
+        } else {
+            c.est_ms
+        }
+    };
+    cands.sort_by(|a, b| key(a).total_cmp(&key(b)));
 }
 
 fn enumerate_eq(
@@ -255,7 +342,8 @@ fn enumerate_eq(
     if let Some(upi) = catalog.upi {
         if upi.attr() == attr {
             let hs = upi.heap_stats();
-            let (fixed, dominant, note) = if let Some(k) = q.top_k {
+            let (fixed, dominant, note, (entries, fetches), uses_cutoff) = if let Some(k) = q.top_k
+            {
                 // §3.1 early termination: the heap run and cutoff list are
                 // probability-ordered, so at most k entries of each are
                 // read regardless of QT. The executor's merge consults
@@ -266,15 +354,24 @@ fn enumerate_eq(
                 let avg = hs.bytes as f64 / hs.entries.max(1) as f64;
                 let mut fixed = model.open_descend(hs.height);
                 let mut dom = model.read_ms(k as f64 * avg);
+                let mut work = (k as f64, 1.0);
                 let above_c = upi
                     .attr_stats()
                     .est_count_ge(value, upi.config().cutoff.max(qt));
-                if !upi.cutoff_index().is_empty() && above_c < k as f64 {
+                let uses_cutoff = !upi.cutoff_index().is_empty() && above_c < k as f64;
+                if uses_cutoff {
                     let deficit = (k as f64 - above_c).max(1.0);
                     fixed += model.open_descend(upi.cutoff_index().height());
                     dom += model.bitmap_fetch_ms(hs.bytes as f64, page_bytes(&hs), deficit);
+                    work = (k as f64 + deficit, 2.0 + deficit);
                 }
-                (fixed, dom, format!("top-{k} early termination"))
+                (
+                    fixed,
+                    dom,
+                    format!("top-{k} early termination"),
+                    work,
+                    uses_cutoff,
+                )
             } else {
                 // §6.3 `Cost_cut` (or the heap-only run when QT ≥ C),
                 // split by the shared `cutoff_query_cost_parts` so the
@@ -286,6 +383,8 @@ fn enumerate_eq(
                     fixed,
                     dom,
                     format!("sel {:.4}, est {:.0} cutoff ptrs", sel, pointers),
+                    point_work(upi, value, qt),
+                    qt < upi.config().cutoff,
                 )
             };
             let qualifying = upi.attr_stats().est_count_ge(value, qt);
@@ -303,8 +402,8 @@ fn enumerate_eq(
                     AccessPath::UpiHeap {
                         use_cutoff: qt < upi.config().cutoff,
                     },
-                    fixed,
-                    dominant,
+                    (fixed, dominant),
+                    warmth(catalog, point_files(upi, uses_cutoff), entries, fetches),
                     note,
                     hints,
                 )
@@ -328,6 +427,13 @@ fn enumerate_eq(
                 Some(k) => n.min(k as f64),
                 None => n,
             };
+            // A top-k probe reads and fetches only its first k entries.
+            let warm = warmth(
+                catalog,
+                [sec.file(), upi.heap_file()],
+                fetch_rows,
+                1.0 + fetch_rows,
+            );
             out.push(
                 candidate(
                     model,
@@ -335,13 +441,16 @@ fn enumerate_eq(
                         index: i,
                         tailored: true,
                     },
-                    opens,
-                    model.clustered_fetch_ms(
-                        hs.bytes as f64 * coverage,
-                        page_bytes(&hs),
-                        n,
-                        visits,
+                    (
+                        opens,
+                        model.clustered_fetch_ms(
+                            hs.bytes as f64 * coverage,
+                            page_bytes(&hs),
+                            n,
+                            visits,
+                        ),
                     ),
+                    warm,
                     format!(
                         "{n:.0} fetches over {coverage:.3} of the heap ({visits:.0} region visits)"
                     ),
@@ -357,8 +466,11 @@ fn enumerate_eq(
                         index: i,
                         tailored: false,
                     },
-                    opens,
-                    model.bitmap_fetch_ms(hs.bytes as f64, page_bytes(&hs), n),
+                    (
+                        opens,
+                        model.bitmap_fetch_ms(hs.bytes as f64, page_bytes(&hs), n),
+                    ),
+                    warm,
                     format!("{n:.0} first-pointer fetches over the full heap"),
                     Vec::new(),
                 )
@@ -370,8 +482,16 @@ fn enumerate_eq(
             candidate(
                 model,
                 AccessPath::UpiFullScan,
-                model.coeffs.cost_init_ms,
-                model.read_ms(upi.heap_stats().bytes as f64),
+                (
+                    model.coeffs.cost_init_ms,
+                    model.read_ms(upi.heap_stats().bytes as f64),
+                ),
+                warmth(
+                    catalog,
+                    [upi.heap_file()],
+                    upi.heap_stats().entries as f64,
+                    1.0,
+                ),
                 format!("{} heap bytes sequential", upi.heap_stats().bytes),
                 upi_scan_hint(upi).into_iter().collect(),
             )
@@ -399,12 +519,30 @@ fn enumerate_eq(
             };
             let hints = fractured_point_hints(f, value, qt, q.top_k);
             let est_pages = hint_pages(&hints);
+            // Every component runs its own probe: unbounded, Algorithm 2
+            // in turn; top-k, at most k entries of each run.
+            let (mut entries, mut fetches) = (0.0, 0.0);
+            for u in f.components() {
+                let (e, p) = match q.top_k {
+                    Some(k) => (k as f64, 1.0),
+                    None => point_work(u, value, qt),
+                };
+                entries += e;
+                fetches += p;
+            }
+            let uses_cutoff = q.top_k.is_some() || qt < main.config().cutoff;
+            let warm = warmth(
+                catalog,
+                f.components().flat_map(|u| point_files(u, uses_cutoff)),
+                entries,
+                fetches,
+            );
             out.push(
                 candidate(
                     model,
                     AccessPath::FracturedProbe,
-                    fixed,
-                    dom,
+                    (fixed, dom),
+                    warm,
                     format!("{} components", f.n_fractures() + 1),
                     hints,
                 )
@@ -430,6 +568,14 @@ fn enumerate_eq(
             // Entry-run pages (hinted) plus one scattered heap page per
             // fetched entry.
             let est_pages = hint_pages(&hints) + fetch_rows;
+            let files = f.components().flat_map(|u| {
+                u.secondaries()
+                    .get(i)
+                    .map(|s| s.file())
+                    .into_iter()
+                    .chain([u.heap_file()])
+            });
+            let warm = warmth(catalog, files, fetch_rows, components + fetch_rows);
             out.push(
                 candidate(
                     model,
@@ -437,13 +583,16 @@ fn enumerate_eq(
                         index: i,
                         tailored: true,
                     },
-                    opens,
-                    model.clustered_fetch_ms(
-                        hs.bytes as f64 * coverage,
-                        page_bytes(&hs),
-                        n,
-                        visits,
+                    (
+                        opens,
+                        model.clustered_fetch_ms(
+                            hs.bytes as f64 * coverage,
+                            page_bytes(&hs),
+                            n,
+                            visits,
+                        ),
                     ),
+                    warm,
                     format!("{n:.0} entries over {components:.0} components"),
                     hints,
                 )
@@ -463,8 +612,11 @@ fn enumerate_eq(
                 candidate(
                     model,
                     AccessPath::PiiProbe { index: i },
-                    model.open_descend(pii.height()) + model.open_descend(hs.height),
-                    model.bitmap_fetch_ms(hs.bytes as f64, page_bytes(&hs), n),
+                    (
+                        model.open_descend(pii.height()) + model.open_descend(hs.height),
+                        model.bitmap_fetch_ms(hs.bytes as f64, page_bytes(&hs), n),
+                    ),
+                    warmth(catalog, [pii.file(), heap.file()], n, 1.0 + n),
                     format!("{n:.0} bitmap-order heap fetches"),
                     Vec::new(),
                 )
@@ -475,8 +627,11 @@ fn enumerate_eq(
             candidate(
                 model,
                 AccessPath::HeapScan,
-                model.coeffs.cost_init_ms,
-                model.read_ms(heap.stats().bytes as f64),
+                (
+                    model.coeffs.cost_init_ms,
+                    model.read_ms(heap.stats().bytes as f64),
+                ),
+                warmth(catalog, [heap.file()], heap.len() as f64, 1.0),
                 format!("{} heap bytes sequential", heap.stats().bytes),
                 heap_scan_hint(heap).into_iter().collect(),
             )
@@ -501,8 +656,17 @@ fn enumerate_eq(
                 candidate(
                     model,
                     AccessPath::ContinuousSecondaryProbe { index: i },
-                    model.open_descend(cs.height()) + model.coeffs.cost_init_ms,
-                    model.bitmap_fetch_ms(heap_bytes, heap_page, effective),
+                    (
+                        model.open_descend(cs.height()) + model.coeffs.cost_init_ms,
+                        model.bitmap_fetch_ms(heap_bytes, heap_page, effective),
+                    ),
+                    // Every fetched page's tuples are decoded and filtered.
+                    warmth(
+                        catalog,
+                        [cs.file(), cupi.heap_file()],
+                        n + effective * tuples_per_page,
+                        1.0 + effective,
+                    ),
                     format!("{n:.0} entries -> ~{effective:.0} page reads"),
                     Vec::new(),
                 )
@@ -512,6 +676,28 @@ fn enumerate_eq(
     }
 
     out
+}
+
+/// [`Warmth`] of a streaming range run on one UPI: phase 1 walks the
+/// range's share `frac` of the heap, phase 2 the same share of the cutoff
+/// index and fetches its below-cutoff qualifiers.
+fn range_warmth(
+    catalog: &Catalog<'_>,
+    upi: &DiscreteUpi,
+    lo: u64,
+    hi: u64,
+    qt: f64,
+    frac: f64,
+) -> Warmth {
+    let cut = upi.cutoff_index();
+    let entries = frac * (upi.heap_stats().entries + cut.len()) as f64;
+    let pointers = cost::estimate_range_cutoff_pointers(upi, lo, hi, qt);
+    warmth(
+        catalog,
+        point_files(upi, !cut.is_empty()),
+        entries,
+        2.0 + pointers,
+    )
 }
 
 fn enumerate_range(
@@ -542,8 +728,8 @@ fn enumerate_range(
                 candidate(
                     model,
                     AccessPath::UpiRange,
-                    fixed,
-                    dom,
+                    (fixed, dom),
+                    range_warmth(catalog, upi, lo, hi, q.qt, frac),
                     format!("range frac {frac:.4} of clustered heap"),
                     hints,
                 )
@@ -554,8 +740,16 @@ fn enumerate_range(
             candidate(
                 model,
                 AccessPath::UpiFullScan,
-                model.coeffs.cost_init_ms,
-                model.read_ms(upi.heap_stats().bytes as f64),
+                (
+                    model.coeffs.cost_init_ms,
+                    model.read_ms(upi.heap_stats().bytes as f64),
+                ),
+                warmth(
+                    catalog,
+                    [upi.heap_file()],
+                    upi.heap_stats().entries as f64,
+                    1.0,
+                ),
                 format!("{} heap bytes sequential", upi.heap_stats().bytes),
                 upi_scan_hint(upi).into_iter().collect(),
             )
@@ -570,12 +764,20 @@ fn enumerate_range(
             let (fixed, dom) = cost::fractured_cost_parts(&model.coeffs, f, frac);
             let hints = fractured_range_hints(f, lo, hi);
             let est_pages = hint_pages(&hints);
+            let parts: Vec<Warmth> = f
+                .components()
+                .map(|u| range_warmth(catalog, u, lo, hi, q.qt, frac))
+                .collect();
+            let warm = Warmth {
+                cached: parts.iter().map(|w| w.cached).fold(1.0, f64::min),
+                host_ms: parts.iter().map(|w| w.host_ms).sum(),
+            };
             out.push(
                 candidate(
                     model,
                     AccessPath::FracturedRange,
-                    fixed,
-                    dom,
+                    (fixed, dom),
+                    warm,
                     format!("range frac {frac:.4}, {} components", f.n_fractures() + 1),
                     hints,
                 )
@@ -596,9 +798,12 @@ fn enumerate_range(
                 candidate(
                     model,
                     AccessPath::PiiRange { index: i },
-                    model.open_descend(pii.height()) + model.coeffs.cost_init_ms,
-                    model.read_ms(pii.bytes() as f64) * frac
-                        + model.bitmap_fetch_ms(hs.bytes as f64, page_bytes(&hs), entries),
+                    (
+                        model.open_descend(pii.height()) + model.coeffs.cost_init_ms,
+                        model.read_ms(pii.bytes() as f64) * frac
+                            + model.bitmap_fetch_ms(hs.bytes as f64, page_bytes(&hs), entries),
+                    ),
+                    warmth(catalog, [pii.file(), heap.file()], entries, 1.0 + entries),
                     format!("{entries:.0} index entries in range"),
                     Vec::new(),
                 )
@@ -609,8 +814,11 @@ fn enumerate_range(
             candidate(
                 model,
                 AccessPath::HeapScan,
-                model.coeffs.cost_init_ms,
-                model.read_ms(heap.stats().bytes as f64),
+                (
+                    model.coeffs.cost_init_ms,
+                    model.read_ms(heap.stats().bytes as f64),
+                ),
+                warmth(catalog, [heap.file()], heap.len() as f64, 1.0),
                 format!("{} heap bytes sequential", heap.stats().bytes),
                 heap_scan_hint(heap).into_iter().collect(),
             )
@@ -618,7 +826,6 @@ fn enumerate_range(
         );
     }
 
-    let _ = q;
     out
 }
 
@@ -651,8 +858,19 @@ fn enumerate_circle(
                 candidate(
                     model,
                     AccessPath::ContinuousCircle,
-                    2.0 * model.coeffs.cost_init_ms + rs.height as f64 * model.coeffs.t_descend_ms,
-                    model.read_ms(cupi.total_bytes() as f64 * frac),
+                    (
+                        2.0 * model.coeffs.cost_init_ms
+                            + rs.height as f64 * model.coeffs.t_descend_ms,
+                        model.read_ms(cupi.total_bytes() as f64 * frac),
+                    ),
+                    // One descent; every tuple on the region's pages is
+                    // decoded and tested.
+                    warmth(
+                        catalog,
+                        [cupi.rtree_file(), cupi.heap_file()],
+                        cupi.n_tuples() as f64 * frac,
+                        1.0,
+                    ),
                     format!("circle covers {:.3} of domain, clustered read", frac),
                     Vec::new(),
                 )
@@ -673,8 +891,16 @@ fn enumerate_circle(
                 candidate(
                     model,
                     AccessPath::UTreeCircle,
-                    model.open_descend(utree.stats().height) + model.coeffs.cost_init_ms,
-                    model.bitmap_fetch_ms(hs.bytes as f64, page_bytes(&hs), candidates),
+                    (
+                        model.open_descend(utree.stats().height) + model.coeffs.cost_init_ms,
+                        model.bitmap_fetch_ms(hs.bytes as f64, page_bytes(&hs), candidates),
+                    ),
+                    warmth(
+                        catalog,
+                        [utree.file(), heap.file()],
+                        candidates,
+                        1.0 + candidates,
+                    ),
                     format!("~{candidates:.0} per-candidate heap fetches"),
                     Vec::new(),
                 )
@@ -800,12 +1026,13 @@ mod tests {
 
         let raw_catalog = Catalog::new(st.disk.config()).with_upi(&upi);
         let raw = q.plan(&raw_catalog).unwrap();
-        let sec_raw = raw
+        let sec_raw_cost = raw
             .candidates
             .iter()
             .find(|c| matches!(c.path, AccessPath::UpiSecondary { tailored: true, .. }))
             .unwrap()
-            .est_ms;
+            .cost;
+        let sec_raw = sec_raw_cost.est_ms();
 
         // A model that learned secondary probes run 10x cheaper must price
         // (and potentially rank) them accordingly.
@@ -826,10 +1053,44 @@ mod tests {
             "calibration must lower the estimate: {} vs {sec_raw}",
             sec_cal.est_ms
         );
-        assert!((sec_cal.cost.raw_ms() - sec_raw).abs() < 1e-9, "raw kept");
+        assert!(
+            (sec_cal.cost.raw_ms() - sec_raw_cost.raw_ms()).abs() < 1e-9,
+            "raw kept"
+        );
+        assert_eq!(sec_cal.cost.host_ms, sec_raw_cost.host_ms, "host work kept");
     }
 
     use crate::cost::SCALE_MIN;
+
+    #[test]
+    fn ranking_tolerates_nan_estimates() {
+        use crate::cost::{CostModel, PathKind};
+        use crate::plan::CandidatePlan;
+        let model = CostModel::from_disk(&DiskConfig::default());
+        let cand = |path: AccessPath, est_ms: f64| CandidatePlan {
+            path,
+            est_ms,
+            cost: model.price(PathKind::Scan, 0.0, 1.0, 0.0, 0.0),
+            note: String::new(),
+            hints: Vec::new(),
+            est_rows: None,
+            est_pages: None,
+        };
+        // 0/0 (a negative NaN on x86), a positive NaN, and real estimates:
+        // no panic, finite estimates first in ascending order, NaNs last.
+        let zero = 0.0f64;
+        let mut cands = vec![
+            cand(AccessPath::HeapScan, zero / zero),
+            cand(AccessPath::UpiFullScan, 7.0),
+            cand(AccessPath::UpiRange, f64::NAN),
+            cand(AccessPath::FracturedProbe, 3.0),
+        ];
+        super::rank(&mut cands);
+        let order: Vec<AccessPath> = cands.iter().map(|c| c.path.clone()).collect();
+        assert_eq!(order[0], AccessPath::FracturedProbe);
+        assert_eq!(order[1], AccessPath::UpiFullScan);
+        assert!(cands[2..].iter().all(|c| c.est_ms.is_nan()));
+    }
 
     #[test]
     fn executor_matches_direct_index_calls() {

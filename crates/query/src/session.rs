@@ -26,7 +26,9 @@ use upi_storage::{Lsn, Store};
 use upi_uncertain::{Field, Schema, Tuple, TupleId};
 
 use crate::catalog::Catalog;
-use crate::cost::{CalibrationStore, CostModel, PathKind, RefitOutcome, N_PATH_KINDS};
+use crate::cost::{
+    CalibrationStore, CostModel, PathKind, RefitOutcome, N_PATH_KINDS, N_PATH_KINDS_V1,
+};
 use crate::error::{PlanError, QueryError};
 use crate::exec::QueryOutput;
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -154,11 +156,12 @@ pub struct MaintenanceSummary {
 
 /// Serialize the session's calibration (per-kind scales plus the sample
 /// rings) and the table's planner statistics into the opaque checkpoint
-/// payload. Layout (version 2): `[2u8]`, per-kind `(scale f64, samples
-/// u64)`, `u32` calibration-store length, store bytes, then the table's
-/// statistics payload as the tail.
+/// payload. Layout (version 3): `[3u8]`, per-kind `(scale f64, samples
+/// u64)` for every [`PathKind::ALL`] entry, `u32` calibration-store
+/// length, store bytes, then the table's statistics payload as the tail.
+/// Versions 1 and 2 carried [`N_PATH_KINDS_V1`] kinds.
 fn calibration_payload(state: &CalibrationState, table: &UncertainTable) -> Vec<u8> {
-    let mut out = vec![2u8];
+    let mut out = vec![3u8];
     for (scale, samples) in state.model.export_scales() {
         out.extend_from_slice(&scale.to_le_bytes());
         out.extend_from_slice(&(samples as u64).to_le_bytes());
@@ -174,14 +177,21 @@ fn calibration_payload(state: &CalibrationState, table: &UncertainTable) -> Vec<
 /// the table-statistics tail for the caller to apply. `None` (state
 /// untouched) on any malformed payload — losing calibration is degraded,
 /// never fatal. Version-1 payloads (no length prefix, no statistics
-/// tail) are still accepted and yield an empty tail.
+/// tail) are still accepted and yield an empty tail; version 1 and 2
+/// payloads restore the kinds they carry and leave the newer ones
+/// uncalibrated.
 fn restore_calibration<'a>(state: &mut CalibrationState, data: &'a [u8]) -> Option<&'a [u8]> {
-    let header = 1 + N_PATH_KINDS * 16;
-    if data.len() < header || !matches!(data[0], 1 | 2) {
+    let kinds = match data.first()? {
+        1 | 2 => N_PATH_KINDS_V1,
+        3 => N_PATH_KINDS,
+        _ => return None,
+    };
+    let header = 1 + kinds * 16;
+    if data.len() < header {
         return None;
     }
     let mut scales = [(1.0f64, 0usize); N_PATH_KINDS];
-    for (i, sc) in scales.iter_mut().enumerate() {
+    for (i, sc) in scales[..kinds].iter_mut().enumerate() {
         let off = 1 + i * 16;
         sc.0 = f64::from_le_bytes(data[off..off + 8].try_into().unwrap());
         sc.1 = u64::from_le_bytes(data[off + 8..off + 16].try_into().unwrap()) as usize;
@@ -352,8 +362,10 @@ impl UncertainDb {
                 PathKind::FracturedMerge,
                 0.0,
                 model.open_descend(height) - model.open_descend(0),
+                0.0,
+                0.0,
             )
-            .est_ms();
+            .calibrated_ms();
         let (qps, decision) = {
             let mut st = self.maintenance.lock();
             let dq = total_queries.saturating_sub(st.last_queries);
@@ -579,7 +591,7 @@ impl UncertainDb {
             .record(cost.kind, cost.fixed_ms, cost.dominant_ms, observed);
         self.metrics.lock().record_query(
             cost.kind,
-            plan.est_ms(),
+            cost.device_ms(),
             observed,
             out.len() as u64,
             out.io.as_ref(),
@@ -687,7 +699,6 @@ impl UncertainDb {
     pub(crate) fn note_external_execution(
         &self,
         cost: &crate::cost::PathCost,
-        est_ms: f64,
         observed_ms: f64,
         rows: u64,
         io: Option<&upi_storage::PoolCounters>,
@@ -700,7 +711,7 @@ impl UncertainDb {
         );
         self.metrics
             .lock()
-            .record_query(cost.kind, est_ms, observed_ms, rows, io);
+            .record_query(cost.kind, cost.device_ms(), observed_ms, rows, io);
     }
 
     /// Record that a scatter-gather query skipped this shard outright:
@@ -803,6 +814,57 @@ mod tests {
                 .unwrap();
         }
         db
+    }
+
+    fn fresh_state() -> CalibrationState {
+        CalibrationState {
+            model: CostModel::from_disk(&DiskConfig::default()),
+            store: CalibrationStore::new(),
+        }
+    }
+
+    #[test]
+    fn calibration_payload_round_trips_and_older_versions_still_load() {
+        let table = db(TableLayout::Upi(UpiConfig::default()));
+        let mut state = fresh_state();
+        state.model = state
+            .model
+            .with_scale(PathKind::Scan, 2.5)
+            .with_scale(PathKind::SpatialRun, 4.0);
+        state.store.record(PathKind::SpatialRun, 1.0, 2.0, 9.0);
+        let payload = calibration_payload(&state, &table.table);
+        let mut back = fresh_state();
+        let tail = restore_calibration(&mut back, &payload).expect("current version loads");
+        assert_eq!(tail, &table.table.stats_payload()[..]);
+        assert_eq!(back.model.scale(PathKind::Scan), 2.5);
+        assert_eq!(back.model.scale(PathKind::SpatialRun), 4.0);
+        assert_eq!(back.store.len(PathKind::SpatialRun), 1);
+
+        // A version-2 payload from before the spatial-run kind: six
+        // `(scale, samples)` pairs and a version-1 calibration store.
+        let mut old = vec![2u8];
+        for kind in &PathKind::ALL[..N_PATH_KINDS_V1] {
+            let scale: f64 = if *kind == PathKind::Scan { 3.0 } else { 1.0 };
+            old.extend_from_slice(&scale.to_le_bytes());
+            old.extend_from_slice(&0u64.to_le_bytes());
+        }
+        let mut store_v1 = vec![1u8];
+        for _ in 0..N_PATH_KINDS_V1 {
+            store_v1.extend_from_slice(&0u32.to_le_bytes());
+        }
+        old.extend_from_slice(&(store_v1.len() as u32).to_le_bytes());
+        old.extend_from_slice(&store_v1);
+        old.extend_from_slice(b"tail");
+        let mut back = fresh_state();
+        let tail = restore_calibration(&mut back, &old).expect("version 2 loads");
+        assert_eq!(tail, b"tail");
+        assert_eq!(back.model.scale(PathKind::Scan), 3.0);
+        assert_eq!(back.model.scale(PathKind::SpatialRun), 1.0);
+        assert!(back.store.is_empty());
+        // Unknown versions and truncations are rejected, state untouched.
+        assert!(restore_calibration(&mut back, &[9u8]).is_none());
+        assert!(restore_calibration(&mut back, &payload[..20]).is_none());
+        assert_eq!(back.model.scale(PathKind::Scan), 3.0);
     }
 
     #[test]

@@ -798,7 +798,6 @@ impl ShardedDb {
                 (None, Some(plan)) => {
                     s.note_external_execution(
                         &plan.candidates[0].cost,
-                        plan.est_ms(),
                         attributed.total_ms(),
                         emitted[i],
                         Some(&shard_io),
@@ -817,7 +816,7 @@ impl ShardedDb {
             span.prefetch_pages = Some(shard_io.sequential_pages());
             span.device_ms = Some(shard_device.total_ms());
             if let Some(plan) = &o.plan {
-                span.est_ms = Some(plan.est_ms());
+                span.est_ms = Some(plan.candidates[0].cost.device_ms());
             }
             spans.push(span);
             io = io.merged(&shard_io);

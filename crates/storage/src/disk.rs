@@ -349,6 +349,15 @@ impl SimDisk {
         Ok(f.live_pages() as u64 * f.page_size as u64)
     }
 
+    /// Live (allocated, non-freed) page count of one file.
+    pub fn file_live_pages(&self, file: FileId) -> Result<usize> {
+        let g = self.inner.lock();
+        g.files
+            .get(file.0 as usize)
+            .map(|f| f.live_pages())
+            .ok_or(StorageError::UnknownFile(file))
+    }
+
     /// Live bytes across all files — the "database size" of Table 8.
     pub fn total_live_bytes(&self) -> u64 {
         let g = self.inner.lock();

@@ -185,6 +185,8 @@ pub struct BufferPool {
 
 struct Frame {
     data: Bytes,
+    /// File the page belongs to (its [`PoolInner::resident`] bucket).
+    file: FileId,
     dirty: bool,
     /// Installed by read-ahead and not yet touched by a demand get.
     prefetched: bool,
@@ -236,6 +238,10 @@ struct PoolInner {
     /// Hottest frame (most recently used).
     tail: Option<PageId>,
     counters: PoolCounters,
+    /// Cached frames per file, kept in step with `frames` by
+    /// [`insert`](Self::insert) / [`remove`](Self::remove) and the two
+    /// wholesale resets (see [`BufferPool::resident_pages`]).
+    resident: HashMap<FileId, usize>,
     /// Concurrently tracked runs (see [`RunState`]), oldest first.
     runs: Vec<RunState>,
     /// Pending planner hints ([`BufferPool::hint_run`]), oldest first:
@@ -403,14 +409,15 @@ impl BufferPool {
             Vec::new()
         };
         let mut g = self.inner.lock();
-        g.insert(pid, data.clone(), false);
+        g.insert(pid, file, data.clone(), false);
         let mut run_end = end;
         let mut prefetched = 0usize;
         for (ppid, pdata) in prefetch {
             run_end += pdata.len() as u64;
             if !g.frames.contains_key(&ppid) {
                 g.counters.readahead += 1;
-                g.insert(ppid, pdata, false);
+                // Read-ahead never crosses a file boundary.
+                g.insert(ppid, file, pdata, false);
                 g.frames.get_mut(&ppid).unwrap().prefetched = true;
                 prefetched += 1;
             }
@@ -464,8 +471,12 @@ impl BufferPool {
     /// (see [`degraded`](Self::degraded)); transient faults are retried
     /// with backoff first ([`PoolCounters::flush_retries`]).
     pub fn put(&self, pid: PageId, data: Bytes) {
+        // A page the device never allocated belongs to no file; it is
+        // counted under a sentinel id, and its write-back fails like any
+        // unknown page's.
+        let file = self.disk.page_file(pid).unwrap_or(FileId(u32::MAX));
         let mut g = self.inner.lock();
-        g.insert(pid, data, true);
+        g.insert(pid, file, data, true);
         let _ = self.evict_overflow(&mut g); // failures counted inside
     }
 
@@ -518,6 +529,7 @@ impl BufferPool {
         let wasted = g.frames.values().filter(|f| f.prefetched).count() as u64;
         g.counters.readahead_wasted += wasted;
         g.frames.clear();
+        g.resident.clear();
         g.bytes = 0;
         g.head = None;
         g.tail = None;
@@ -553,6 +565,7 @@ impl BufferPool {
         let wasted = g.frames.values().filter(|f| f.prefetched).count() as u64;
         g.counters.readahead_wasted += wasted;
         g.frames.clear();
+        g.resident.clear();
         g.bytes = 0;
         g.head = None;
         g.tail = None;
@@ -610,6 +623,26 @@ impl BufferPool {
     /// Number of cached bytes right now.
     pub fn cached_bytes(&self) -> usize {
         self.inner.lock().bytes
+    }
+
+    /// Frames of `file` the pool holds right now. Maintained per file on
+    /// every install (demand miss, read-ahead, [`put`](Self::put)) and
+    /// removal (eviction, [`discard`](Self::discard), [`clear`](Self::clear),
+    /// [`drop_all`](Self::drop_all)), so the read is O(1).
+    pub fn resident_pages(&self, file: FileId) -> usize {
+        self.inner.lock().resident.get(&file).copied().unwrap_or(0)
+    }
+
+    /// Fraction of `file`'s live pages the pool holds, in `[0, 1]`: the
+    /// share of a full read of the file that would hit. A file with no
+    /// live pages (or one the device does not know) reports 0 — nothing
+    /// is known to be cached, so a caller prices it cold.
+    pub fn resident_fraction(&self, file: FileId) -> f64 {
+        let resident = self.resident_pages(file);
+        match self.disk.file_live_pages(file) {
+            Ok(live) if live > 0 => (resident as f64 / live as f64).min(1.0),
+            _ => 0.0,
+        }
     }
 
     fn evict_overflow(&self, g: &mut PoolInner) -> Result<()> {
@@ -748,7 +781,7 @@ impl PoolInner {
         self.push_hot(pid);
     }
 
-    fn insert(&mut self, pid: PageId, data: Bytes, dirty: bool) {
+    fn insert(&mut self, pid: PageId, file: FileId, data: Bytes, dirty: bool) {
         if self.frames.contains_key(&pid) {
             let old_len = self.frames[&pid].data.len();
             let f = self.frames.get_mut(&pid).unwrap();
@@ -760,10 +793,12 @@ impl PoolInner {
             self.touch(pid);
         } else {
             self.bytes += data.len();
+            *self.resident.entry(file).or_insert(0) += 1;
             self.frames.insert(
                 pid,
                 Frame {
                     data,
+                    file,
                     dirty,
                     prefetched: false,
                     prev: None,
@@ -779,6 +814,12 @@ impl PoolInner {
             self.unlink(pid);
             let f = self.frames.remove(&pid).unwrap();
             self.bytes -= f.data.len();
+            if let Some(n) = self.resident.get_mut(&f.file) {
+                *n -= 1;
+                if *n == 0 {
+                    self.resident.remove(&f.file);
+                }
+            }
         }
     }
 }
@@ -1210,6 +1251,109 @@ mod tests {
         let c = store.pool.counters();
         assert_eq!(c.flush_errors, 0, "legitimate free must not count: {c}");
         assert!(store.pool.degraded().is_none());
+    }
+
+    /// The per-file resident counts must equal each file's cached frames
+    /// (and so sum to the frame count) after every kind of install and
+    /// removal.
+    fn assert_resident_counts(pool: &BufferPool, files: &[FileId]) {
+        let g = pool.inner.lock();
+        let mut want: HashMap<FileId, usize> = HashMap::new();
+        for f in g.frames.values() {
+            *want.entry(f.file).or_insert(0) += 1;
+        }
+        assert_eq!(g.resident, want, "per-file counts must match the frames");
+        assert_eq!(g.resident.values().sum::<usize>(), g.frames.len());
+        drop(g);
+        for &f in files {
+            assert_eq!(pool.resident_pages(f), want.get(&f).copied().unwrap_or(0));
+        }
+    }
+
+    #[test]
+    fn resident_counts_track_every_install_and_removal() {
+        let disk = Arc::new(SimDisk::new(DiskConfig::default()));
+        let store = crate::Store::new(disk.clone(), 4096 * 12);
+        let pool = &store.pool;
+        let a = disk.create_file("a", 4096);
+        let b = disk.create_file("b", 4096);
+        let pa: Vec<_> = (0..16).map(|_| disk.alloc_page(a).unwrap()).collect();
+        let pb: Vec<_> = (0..4).map(|_| disk.alloc_page(b).unwrap()).collect();
+        for &p in pa.iter().chain(&pb) {
+            disk.write_page(p, Bytes::from(vec![1u8; 4096])).unwrap();
+        }
+        let files = [a, b];
+        assert_eq!(pool.resident_fraction(a), 0.0);
+
+        // Demand get, then a hinted miss whose read-ahead installs the
+        // rest of the run.
+        pool.get(pb[0]).unwrap();
+        assert_resident_counts(pool, &files);
+        assert_eq!(pool.resident_pages(b), 1);
+        assert_eq!(pool.resident_fraction(b), 0.25);
+        pool.hint_run(AccessHint {
+            start_page: pa[0],
+            est_run_pages: 6,
+        });
+        pool.get(pa[0]).unwrap();
+        assert!(pool.counters().readahead > 0, "the hint must prefetch");
+        assert_resident_counts(pool, &files);
+        assert_eq!(pool.resident_pages(a), 6);
+
+        // Dirty puts (a new frame and an overwrite of a cached one).
+        pool.put(pb[1], Bytes::from(vec![2u8; 4096]));
+        pool.put(pa[0], Bytes::from(vec![2u8; 4096]));
+        assert_resident_counts(pool, &files);
+        assert_eq!(pool.resident_pages(b), 2);
+
+        // Overflow the 12-frame capacity: evictions decrement.
+        for &p in &pa[6..] {
+            pool.get(p).unwrap();
+        }
+        assert!(pool.counters().evictions > 0);
+        assert_resident_counts(pool, &files);
+        assert!(pool.resident_pages(a) + pool.resident_pages(b) <= 12);
+
+        // Discard and a freed page.
+        let cached_a = pool.resident_pages(a);
+        pool.discard(pa[15]);
+        assert_resident_counts(pool, &files);
+        assert_eq!(pool.resident_pages(a), cached_a - 1);
+        pool.get(pb[2]).unwrap();
+        let cached_b = pool.resident_pages(b);
+        store.free_page(pb[2]).unwrap();
+        assert_resident_counts(pool, &files);
+        assert_eq!(pool.resident_pages(b), cached_b - 1);
+        // Freed pages leave the live count too: b has 3 live pages now.
+        assert_eq!(disk.file_live_pages(b).unwrap(), 3);
+        assert!(pool.resident_fraction(b) <= 1.0);
+
+        // The wholesale resets.
+        pool.clear();
+        assert_resident_counts(pool, &files);
+        assert_eq!(pool.resident_pages(a), 0);
+        pool.get(pa[3]).unwrap();
+        pool.put(pb[3], Bytes::from(vec![4u8; 4096]));
+        assert_resident_counts(pool, &files);
+        pool.drop_all();
+        assert_resident_counts(pool, &files);
+        assert_eq!(pool.resident_pages(b), 0);
+        assert_eq!(pool.resident_fraction(b), 0.0);
+    }
+
+    #[test]
+    fn resident_fraction_of_a_fully_read_file_is_one() {
+        let (disk, pool) = setup(1 << 20);
+        let f = disk.create_file("t", 4096);
+        let pages: Vec<_> = (0..8).map(|_| disk.alloc_page(f).unwrap()).collect();
+        for &p in &pages {
+            pool.put(p, Bytes::from(vec![1u8; 4096]));
+        }
+        assert_eq!(pool.resident_fraction(f), 1.0);
+        // An empty file (and an unknown one) reads as cold, never 0/0.
+        let empty = disk.create_file("empty", 4096);
+        assert_eq!(pool.resident_fraction(empty), 0.0);
+        assert_eq!(pool.resident_fraction(FileId(999)), 0.0);
     }
 
     #[test]

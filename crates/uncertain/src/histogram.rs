@@ -238,6 +238,16 @@ impl AttrStats {
         (self.est_count_between(value, qt, c) - self.est_first_between(value, qt, c)).max(0.0)
     }
 
+    /// [`est_cutoff_pointers`](Self::est_cutoff_pointers) summed over
+    /// every value in `[lo, hi]` (inclusive). `O(distinct values)`.
+    pub fn est_cutoff_pointers_range(&self, lo: u64, hi: u64, qt: f64, c: f64) -> f64 {
+        self.per_value
+            .keys()
+            .filter(|v| (lo..=hi).contains(*v))
+            .map(|&v| self.est_cutoff_pointers(v, qt, c))
+            .sum()
+    }
+
     /// Estimated heap-resident entries of `value` with probability `>= qt`
     /// under cutoff `c`: everything at/above `max(qt, c)` plus the first
     /// alternatives in the `[qt, c)` band.

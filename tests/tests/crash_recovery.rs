@@ -32,6 +32,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use upi::{FracturedConfig, TableLayout, UpiConfig};
+use upi_query::cost::N_PATH_KINDS;
 use upi_query::{PhysicalPlan, PtqQuery, QueryOutput, UncertainDb};
 use upi_storage::{DiskConfig, FaultPlan, SimDisk, Store};
 use upi_uncertain::{Datum, DiscretePmf, Field, FieldKind, Schema, Tuple, TupleId};
@@ -142,10 +143,10 @@ fn run_seed(seed: u64) {
     // it when durable), plus the scales serialized into each checkpoint.
     let mut log: Vec<(u64, Op)> = Vec::new();
     let mut live: BTreeMap<u64, Tuple> = BTreeMap::new();
-    let mut ckpt_scales: Vec<(u64, [f64; 6])> = Vec::new();
-    let scales_of = |db: &UncertainDb| -> [f64; 6] {
+    let mut ckpt_scales: Vec<(u64, [f64; N_PATH_KINDS])> = Vec::new();
+    let scales_of = |db: &UncertainDb| -> [f64; N_PATH_KINDS] {
         let m = db.cost_model();
-        let mut s = [0.0; 6];
+        let mut s = [0.0; N_PATH_KINDS];
         for (i, (scale, _)) in m.export_scales().iter().enumerate() {
             s[i] = *scale;
         }
@@ -321,7 +322,9 @@ fn run_seed(seed: u64) {
     // checkpoint's serialized scales — and without tear injection,
     // exactly the last one recovery could have used.
     let got = scales_of(&rdb);
-    let close = |a: &[f64; 6], b: &[f64; 6]| a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-12);
+    let close = |a: &[f64; N_PATH_KINDS], b: &[f64; N_PATH_KINDS]| {
+        a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-12)
+    };
     if torn {
         assert!(
             ckpt_scales

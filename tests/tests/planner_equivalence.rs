@@ -5,7 +5,14 @@
 //! discrete UPI with a secondary index, and a fractured UPI holding the
 //! same rows.
 //!
-//! The second oracle is **suppression-heavy**: randomized fractured
+//! The cutoff-merge oracle covers the below-cutoff shapes (`qt < C`:
+//! Algorithm 2's heap run plus cutoff pointers, unbounded and top-k) on
+//! the clustered and the fractured layout, each planned and executed on
+//! a cold pool and again on a fully warmed one — residency changes the
+//! prices and so the chosen path, never the answer, which must equal the
+//! brute-force oracle.
+//!
+//! The last oracle is **suppression-heavy**: randomized fractured
 //! tables built from interleaved inserts, deletes, and updates across
 //! 1–4 fracture events (with an optionally live insert buffer), where
 //! the facade, every forced fractured path (including the
@@ -21,6 +28,7 @@ use upi::{
 };
 use upi_query::{Catalog, PhysicalPlan, PtqQuery, QueryOutput, UncertainDb};
 use upi_storage::{DiskConfig, SimDisk, Store};
+use upi_tests::oracle_on_disk;
 use upi_uncertain::{Datum, DiscretePmf, Field, FieldKind, Schema, Tuple, TupleId};
 
 fn store() -> Store {
@@ -100,8 +108,139 @@ fn fingerprint(out: &QueryOutput) -> Vec<(u64, u64)> {
     }
 }
 
+/// Check `q`'s planned and every forced path against the brute-force
+/// `want` (`(tid, confidence)`, canonical order): unbounded queries must
+/// return exactly `want`; top-k queries `want`'s k best confidences, each
+/// row one of `want`'s. Returns the chosen path's label.
+fn check_against_oracle(
+    q: &PtqQuery,
+    catalog: &Catalog<'_>,
+    want: &[(u64, f64)],
+    regime: &str,
+) -> Result<String, String> {
+    let plan = q.plan(catalog).unwrap();
+    let mut paths = vec![plan.clone()];
+    for cand in &plan.candidates {
+        paths.push(PhysicalPlan {
+            query: q.clone(),
+            candidates: vec![cand.clone()],
+        });
+    }
+    for p in paths {
+        let out = p.execute(catalog).unwrap();
+        let mut got: Vec<(u64, f64)> = out
+            .rows
+            .iter()
+            .map(|r| (r.tuple.id.0, r.confidence))
+            .collect();
+        got.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        match q.top_k {
+            None => prop_assert_eq!(
+                &got,
+                &want.to_vec(),
+                "{} {:?}: path {} (planner chose {})",
+                regime,
+                q,
+                p.path().label(),
+                plan.path().label()
+            ),
+            Some(k) => {
+                let confs: Vec<f64> = got.iter().map(|r| r.1).collect();
+                let best: Vec<f64> = want.iter().take(k).map(|r| r.1).collect();
+                prop_assert_eq!(
+                    &confs,
+                    &best,
+                    "{} {:?}: path {}",
+                    regime,
+                    q,
+                    p.path().label()
+                );
+                prop_assert!(got.iter().all(|r| want.contains(r)));
+            }
+        }
+    }
+    Ok(plan.path().label())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn cutoff_merge_shapes_cold_and_warm(
+        seed_rows in table_strategy(),
+        copies in 1u64..48,
+        cutoff in 0.2f64..=0.8,
+        qt_frac in 0.0f64..1.0,
+        value in 0u64..8,
+        k in 1usize..5,
+        layout in 0u8..2,
+    ) {
+        let st = store();
+        let cfg = UpiConfig { cutoff, ..UpiConfig::default() };
+        let qt = qt_frac * cutoff; // < C: the cutoff merge runs
+        // Replicate the rows under fresh ids: tables from one heap page up
+        // to a few hundred, so the scan and the cutoff merge trade places
+        // between the cold and the warm prices.
+        let tuples: Vec<Tuple> = (0..copies)
+            .flat_map(|c| {
+                seed_rows.iter().map(move |t| {
+                    let mut t = t.clone();
+                    t.id = TupleId(c * 64 + t.id.0);
+                    (t.id.0, t)
+                })
+            })
+            .collect::<BTreeMap<u64, Tuple>>()
+            .into_values()
+            .collect();
+
+        let upi;
+        let fractured;
+        let heap;
+        let catalog = if layout == 1 {
+            // Two on-disk components, so each drains Algorithm 2 in turn.
+            let mut f = FracturedUpi::create(
+                st.clone(),
+                "frac",
+                1,
+                &[2],
+                FracturedConfig { upi: cfg, buffer_ops: 0 },
+            )
+            .unwrap();
+            let half = tuples.len() / 2;
+            f.load_initial(&tuples[..half]).unwrap();
+            for t in &tuples[half..] {
+                f.insert(t.clone()).unwrap();
+            }
+            f.flush().unwrap();
+            fractured = f;
+            // A scan alternative over the same rows.
+            let mut h = UnclusteredHeap::create(st.clone(), "heap", 4096).unwrap();
+            h.bulk_load(&tuples).unwrap();
+            heap = h;
+            Catalog::new(st.disk.config())
+                .with_fractured(&fractured)
+                .with_heap(&heap)
+        } else {
+            let mut u = DiscreteUpi::create(st.clone(), "upi", 1, cfg).unwrap();
+            u.bulk_load(&tuples).unwrap();
+            upi = u;
+            Catalog::new(st.disk.config()).with_upi(&upi)
+        }
+        .with_pool(&st.pool);
+
+        let want = oracle_on_disk(&tuples, 1, value, value, qt);
+        let queries = [
+            PtqQuery::eq(1, value).with_qt(qt),
+            PtqQuery::eq(1, value).with_qt(qt).with_top_k(k),
+        ];
+        for q in &queries {
+            st.go_cold();
+            check_against_oracle(q, &catalog, &want, "cold")?;
+            // The checks above read every structure the candidates touch,
+            // and the pool holds them all: the second pass plans warm.
+            check_against_oracle(q, &catalog, &want, "warm")?;
+        }
+    }
 
     #[test]
     fn planner_equals_every_forced_path(
