@@ -74,7 +74,7 @@ pub use maintenance::{
 };
 pub use pii::{Pii, PiiRun};
 pub use secondary::{PointerHistogram, SecEntry, SecScanRun, SecondaryIndex};
-pub use shard::{ShardLayout, ShardStats, ShardedTable};
+pub use shard::{ShardLayout, ShardStats};
 pub use table::{TableLayout, UncertainTable};
 pub use tuning::{CutoffChoice, TuningAdvisor, WorkloadProfile};
 pub use upi::{

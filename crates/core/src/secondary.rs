@@ -52,7 +52,7 @@ const MAX_TRACKED_VALUES: usize = 4096;
 ///
 /// Regions are contiguous primary-value ranges of width `2^shift`,
 /// addressed by their absolute bucket number `value >> shift` and kept to
-/// at most [`REGION_BUCKETS`] occupied-span buckets (width doubles and
+/// at most `REGION_BUCKETS` occupied-span buckets (width doubles and
 /// buckets fold when the range grows). Counts are maintained at insert /
 /// bulk-load / delete time, **per secondary value**: tailored secondary
 /// access fetches one value's entries, and real datasets correlate the
@@ -92,7 +92,7 @@ impl PointerHistogram {
 
     /// Record one pointer to primary value `pv` carried by an entry of
     /// secondary value `value`, weighted by
-    /// `entry confidence × pointer probability` (see [`Self::mass`]).
+    /// `entry confidence × pointer probability` (see `mass`).
     pub fn add(&mut self, value: u64, pv: u64, weight: f64) {
         let w = Self::mass(weight);
         self.total += w;

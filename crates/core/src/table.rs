@@ -6,11 +6,12 @@
 //! different clustering") one-line configuration changes.
 //!
 //! **Queries do not run through this type.** `UncertainTable` owns the
-//! physical structures and exposes them read-only (see [`Self::as_upi`],
-//! [`Self::as_fractured`], [`Self::unclustered_parts`]); the query entry
-//! points live on `upi_query::UncertainDb`, the session layer that
-//! registers those structures in a planner `Catalog` so every query is
-//! cost-planned across whatever access paths the layout offers. This
+//! physical structures and exposes them read-only (see
+//! [`UncertainTable::as_upi`], [`UncertainTable::as_fractured`],
+//! [`UncertainTable::unclustered_parts`]); the query entry points live
+//! on `upi_query::UncertainDb`, the session layer that registers those
+//! structures in a planner `Catalog` so every query is cost-planned
+//! across whatever access paths the layout offers. This
 //! split keeps the dependency arrow pointing one way (`upi-query` builds
 //! on `upi`) while making it impossible to sneak a query past the
 //! planner: there simply is no direct-index entry point on the table.
@@ -672,7 +673,7 @@ impl UncertainTable {
 
     /// The id this table would assign to its next [`insert`](Self::insert)
     /// — one past the largest id ever inserted, loaded, or recovered.
-    /// Sharded facades re-seed their **global** id sequence from the max
+    /// A sharded facade derives its **global** id sequence from the max
     /// of this across shards, which (unlike scanning live tuples) still
     /// covers ids whose rows have since been deleted.
     pub fn next_id(&self) -> u64 {

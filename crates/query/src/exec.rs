@@ -18,7 +18,7 @@
 //!
 //! Every execution is observed: the concrete [`SourceOp`] wrapper keeps
 //! per-operator [`CursorStats`], device time is attributed to a
-//! [`QueryId`](upi_storage::QueryId) via the pool's scoped attribution
+//! [`QueryId`] via the pool's scoped attribution
 //! guard, and the harvested span tree lands on
 //! [`QueryOutput::trace`].
 

@@ -2,7 +2,7 @@
 //!
 //! Every candidate an access structure in the [`Catalog`] supports for the
 //! query's predicate is priced in **simulated-disk milliseconds** by the
-//! catalog's [`CostModel`](crate::cost::CostModel) — the single pricing
+//! catalog's [`CostModel`] — the single pricing
 //! authority — with the §6 cost models over live statistics:
 //!
 //! * clustered-probe paths derive from the shared
@@ -47,7 +47,7 @@
 //!   [ms/open], `stroke_bytes` [bytes/full-stroke]. These price the
 //!   *fixed* term (opens + descents) and the shape of the dominant term;
 //!   they are never refit — the simulator charges them exactly.
-//! * **Per-path-kind scales** [dimensionless], initially 1.0: the
+//! * **Per-path-kind scales** \[dimensionless\], initially 1.0: the
 //!   calibrated coefficients. After each executed plan the session
 //!   records `(kind, fixed, dominant, observed device ms)` into a
 //!   `CalibrationStore`; `CostModel::refit` solves the per-kind

@@ -443,8 +443,8 @@ impl UncertainDb {
         }))
     }
 
-    /// Drain profitable maintenance: run [`maintenance_tick`]
-    /// (Self::maintenance_tick) until the policy declines, then seal the
+    /// Drain profitable maintenance: run
+    /// [`maintenance_tick`](Self::maintenance_tick) until the policy declines, then seal the
     /// work with a checkpoint when the table is durable (which also
     /// rotates the WAL to a fresh generation and retires the old one).
     pub fn maintain(&mut self) -> StorageResult<MaintenanceSummary> {
@@ -753,15 +753,23 @@ impl UncertainDb {
         value: u64,
         qt: f64,
     ) -> Result<Vec<PtqResult>, QueryError> {
-        let sec_attrs = self.table.sec_attrs();
-        assert!(
-            idx < sec_attrs.len(),
-            "secondary index {idx} out of range ({} attached)",
-            sec_attrs.len()
-        );
         Ok(self
-            .query(&PtqQuery::eq(sec_attrs[idx], value).with_qt(qt))?
+            .query(&PtqQuery::eq(self.sec_attr(idx)?, value).with_qt(qt))?
             .rows)
+    }
+
+    /// The attribute behind secondary index `idx`, or a typed
+    /// `InvalidQuery` when no such index is attached.
+    pub(crate) fn sec_attr(&self, idx: usize) -> Result<usize, QueryError> {
+        let sec_attrs = self.table.sec_attrs();
+        sec_attrs.get(idx).copied().ok_or_else(|| {
+            QueryError::Plan(PlanError::InvalidQuery {
+                reason: format!(
+                    "secondary index {idx} out of range ({} attached)",
+                    sec_attrs.len()
+                ),
+            })
+        })
     }
 
     /// Top-k most confident rows for a primary value (confidence-ordered
@@ -955,10 +963,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn unknown_secondary_index_is_rejected() {
         let d = db(TableLayout::Upi(UpiConfig::default()));
-        let _ = d.ptq_secondary(5, 1, 0.3);
+        match d.ptq_secondary(5, 1, 0.3) {
+            Err(QueryError::Plan(PlanError::InvalidQuery { reason })) => {
+                assert!(reason.contains("out of range"), "{reason}")
+            }
+            other => panic!("expected InvalidQuery, got {other:?}"),
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! point queries take the fast path: every shard whose chosen plan
 //! streams in confidence order (`UpiHeap`, `FracturedProbe`) is opened
 //! as a raw cursor, and all workers share one
-//! [`TopKWatermark`](upi::TopKWatermark) behind a lock. The k-th best
+//! [`TopKWatermark`] behind a lock. The k-th best
 //! confidence seen *anywhere* becomes every cursor's pull watermark, so
 //! a shard whose best remaining confidence falls below the global k-th
 //! stops its source I/O early — even when the floor was raised by a
@@ -211,13 +211,29 @@ impl ShardOutcome {
     }
 }
 
+/// One shard's contribution to a gathered [`QueryOutput`] (see
+/// `ShardedDb::gather`).
+struct ShardPart {
+    /// Span label after the `shard{i}: ` prefix.
+    label: String,
+    /// Rows this shard contributed.
+    rows: u64,
+    io: Option<PoolCounters>,
+    device: Option<IoStats>,
+    /// The chosen plan's estimated device ms, when the facade planned
+    /// this shard.
+    est_ms: Option<f64>,
+    degraded: Option<String>,
+    /// The shard was pruned.
+    skipped: bool,
+}
+
 /// A sharded planner-first session: one logical uncertain table
 /// partitioned by tuple id across N [`UncertainDb`] shards (see the
 /// module docs for the execution model).
 pub struct ShardedDb {
     shards: Vec<UncertainDb>,
     layout: ShardLayout,
-    next_id: u64,
     /// Per-shard pruning bounds, maintained by every DML entry point.
     stats: Vec<ShardStats>,
     /// Pruning switch (on by default); tests and benches flip it to
@@ -244,7 +260,6 @@ impl ShardedDb {
             layout.n_shards(),
             "one store per shard required"
         );
-        assert!(!stores.is_empty(), "at least one shard required");
         let shards = stores
             .into_iter()
             .enumerate()
@@ -258,37 +273,15 @@ impl ShardedDb {
                 )
             })
             .collect::<StorageResult<Vec<_>>>()?;
-        let stats = vec![ShardStats::new(); layout.n_shards()];
-        Ok(ShardedDb {
-            shards,
-            layout,
-            next_id: 0,
-            stats,
-            prune: AtomicBool::new(true),
-            skipped: AtomicU64::new(0),
-        })
-    }
-
-    /// Adopt the shards of a core [`upi::ShardedTable`] into a sharded
-    /// session (each shard gets its own fresh calibration and metrics;
-    /// the table's pruning statistics carry over).
-    pub fn from_sharded_table(table: upi::ShardedTable) -> ShardedDb {
-        let (shards, layout, next_id, stats) = table.into_parts();
-        ShardedDb {
-            shards: shards.into_iter().map(UncertainDb::from_table).collect(),
-            layout,
-            next_id,
-            stats,
-            prune: AtomicBool::new(true),
-            skipped: AtomicU64::new(0),
-        }
+        // Empty shards: empty statistics, no scan.
+        let stats = vec![ShardStats::new(); shards.len()];
+        Ok(ShardedDb::assemble(shards, layout, stats))
     }
 
     /// Assemble a facade over existing shard sessions — the shards may
     /// have **heterogeneous physical layouts** (one clustered, one
     /// fractured, one unclustered …); the fast path falls back per shard
-    /// where a layout cannot stream in confidence order. The id horizon
-    /// is re-seeded from the max over shard id horizons and the pruning
+    /// where a layout cannot stream in confidence order. The pruning
     /// statistics are rebuilt from live tuples.
     pub fn from_shards(shards: Vec<UncertainDb>, layout: ShardLayout) -> StorageResult<ShardedDb> {
         assert_eq!(
@@ -296,27 +289,31 @@ impl ShardedDb {
             layout.n_shards(),
             "one shard session per routing slot required"
         );
+        let mut db = ShardedDb::assemble(shards, layout, Vec::new());
+        db.rebuild_stats()?;
+        Ok(db)
+    }
+
+    /// The one constructor tail: validates the shard set and starts with
+    /// pruning on and no skips counted.
+    fn assemble(
+        shards: Vec<UncertainDb>,
+        layout: ShardLayout,
+        stats: Vec<ShardStats>,
+    ) -> ShardedDb {
         assert!(!shards.is_empty(), "at least one shard required");
         let primary = shards[0].table().primary_attr();
         assert!(
             shards.iter().all(|s| s.table().primary_attr() == primary),
             "shards must agree on the primary attribute"
         );
-        let next_id = shards
-            .iter()
-            .map(|s| s.table().next_id())
-            .max()
-            .unwrap_or(0);
-        let mut db = ShardedDb {
+        ShardedDb {
             shards,
             layout,
-            next_id,
-            stats: Vec::new(),
+            stats,
             prune: AtomicBool::new(true),
             skipped: AtomicU64::new(0),
-        };
-        db.rebuild_stats()?;
-        Ok(db)
+        }
     }
 
     /// The id-routing layout.
@@ -393,7 +390,6 @@ impl ShardedDb {
             let shard = self.layout.route(t.id.0);
             self.stats[shard].note_tuple(attr, t);
             parts[shard].push(t.clone());
-            self.next_id = self.next_id.max(t.id.0 + 1);
         }
         for (s, part) in self.shards.iter_mut().zip(&parts) {
             s.load(part)?;
@@ -403,8 +399,16 @@ impl ShardedDb {
 
     /// Insert a row: the facade assigns the next global tuple id and
     /// routes the tuple to its shard.
+    ///
+    /// The id horizon is the **max over shard id horizons**
+    /// (`UncertainTable::next_id`), never the max live tuple id: a
+    /// shard whose largest-id rows were deleted still reserves those
+    /// ids, and on a hash layout a reused id would route back to the
+    /// same shard and collide with its WAL history. Deriving it on every
+    /// insert makes a live facade and a recovered one agree.
     pub fn insert(&mut self, exist: f64, fields: Vec<Field>) -> StorageResult<TupleId> {
-        let id = TupleId(self.next_id);
+        let next_id = self.shards.iter().map(|s| s.table().next_id()).max();
+        let id = TupleId(next_id.unwrap_or(0));
         let t = Tuple::new(id, exist, fields);
         self.insert_tuple(&t)?;
         Ok(id)
@@ -412,7 +416,6 @@ impl ShardedDb {
 
     /// Insert a fully-formed tuple (caller manages ids).
     pub fn insert_tuple(&mut self, t: &Tuple) -> StorageResult<()> {
-        self.next_id = self.next_id.max(t.id.0 + 1);
         let attr = self.primary_attr();
         let shard = self.layout.route(t.id.0);
         self.stats[shard].note_tuple(attr, t);
@@ -497,13 +500,8 @@ impl ShardedDb {
     }
 
     /// Recover every shard (`{name}.s{i}` from `stores[i]`) and
-    /// reassemble the facade.
-    ///
-    /// The global id sequence resumes from the **max over shard id
-    /// horizons** (`UncertainTable::next_id`), not from the max live
-    /// tuple id: a recovered shard whose largest-id rows were deleted
-    /// still reserves those ids, and on a hash layout a reused id would
-    /// route back to the same shard and collide with its WAL history.
+    /// reassemble the facade. The global id horizon needs no re-seeding:
+    /// it is always derived from the shards (see [`insert`](Self::insert)).
     /// Pruning statistics are rebuilt from live tuples.
     pub fn recover(
         stores: Vec<Store>,
@@ -518,20 +516,7 @@ impl ShardedDb {
             shards.push(db);
             infos.push(info);
         }
-        let next_id = shards
-            .iter()
-            .map(|s| s.table().next_id())
-            .max()
-            .unwrap_or(0);
-        let mut db = ShardedDb {
-            shards,
-            layout,
-            next_id,
-            stats: Vec::new(),
-            prune: AtomicBool::new(true),
-            skipped: AtomicU64::new(0),
-        };
-        db.rebuild_stats()?;
+        let db = ShardedDb::from_shards(shards, layout)?;
         Ok((db, infos))
     }
 
@@ -592,15 +577,8 @@ impl ShardedDb {
         value: u64,
         qt: f64,
     ) -> Result<Vec<PtqResult>, QueryError> {
-        let sec_attrs = self.shards[0].table().sec_attrs();
-        assert!(
-            idx < sec_attrs.len(),
-            "secondary index {idx} out of range ({} attached)",
-            sec_attrs.len()
-        );
-        Ok(self
-            .query(&PtqQuery::eq(sec_attrs[idx], value).with_qt(qt))?
-            .rows)
+        let attr = self.shards[0].sec_attr(idx)?;
+        Ok(self.query(&PtqQuery::eq(attr, value).with_qt(qt))?.rows)
     }
 
     /// Top-k most confident rows for a primary value — the scatter-
@@ -642,11 +620,7 @@ impl ShardedDb {
             .collect();
         let before: Vec<PoolCounters> = pools.iter().map(|p| p.counters()).collect();
         let prune_on = self.prune.load(Ordering::Relaxed);
-        // Static pruning, decided before any worker starts so it is
-        // deterministic: a shard whose per-value bound cannot reach `qt`
-        // holds no qualifying row (qualifying means confidence >= qt, so
-        // only a *strictly* lower bound may skip).
-        let bounds: Vec<f64> = self.stats.iter().map(|st| st.bound(value)).collect();
+        let skips = self.static_skips(value, q.qt);
         // One shared floor for all workers: the lock is held only for a
         // note() or floor() read, never across I/O.
         let wm = Mutex::new(TopKWatermark::new(k));
@@ -657,22 +631,19 @@ impl ShardedDb {
         // worker. The attribution stack is thread-local, so each worker
         // re-pins its shard's window (same `qid`) on its own thread.
         let run_shard = |i: usize, s: &UncertainDb| -> Result<ShardOutcome, QueryError> {
-            if prune_on && bounds[i] < q.qt {
-                return Ok(ShardOutcome::skipped(format!(
-                    "skipped (bound {:.3} < qt {:.3})",
-                    bounds[i], q.qt
-                )));
+            if let Some(reason) = &skips[i] {
+                return Ok(ShardOutcome::skipped(reason.clone()));
             }
             let pool = s.table().store().pool.as_ref();
             let _guard = pool.attributed(qid);
             // Dynamic pruning: a faster shard may already have raised the
             // k-th floor above this shard's best possible row.
             if prune_on {
+                let bound = self.stats[i].bound(value);
                 let floor = wm.lock().floor();
-                if bounds[i] < floor {
+                if bound < floor {
                     return Ok(ShardOutcome::skipped(format!(
-                        "skipped (bound {:.3} < floor {:.3})",
-                        bounds[i], floor
+                        "skipped (bound {bound:.3} < floor {floor:.3})"
                     )));
                 }
             }
@@ -756,12 +727,6 @@ impl ShardedDb {
         for r in results {
             outcomes.push(r?);
         }
-        for (o, s) in outcomes.iter().zip(&self.shards) {
-            if o.skipped {
-                self.skipped.fetch_add(1, Ordering::Relaxed);
-                s.note_shard_skip();
-            }
-        }
 
         // Gather: merge the per-shard prefixes under the explicit total
         // order. Per-shard rows are each canonical already; any row a
@@ -780,15 +745,10 @@ impl ShardedDb {
             rows.push(r);
         }
 
-        // Attribute, observe, and assemble: per-shard windows feed each
-        // shard's calibration with its own clock; their sum is the
-        // query's device view, their max its parallel latency.
-        let mut io = PoolCounters::default();
-        let mut device = IoStats::default();
-        let mut latency_ms = 0.0f64;
-        let mut degraded = None;
-        let mut spans = vec![TraceSpan::label_only(format!("ShardMerge(k={k})"), 0)];
-        for (i, (s, o)) in self.shards.iter().zip(&outcomes).enumerate() {
+        // Attribute and observe: per-shard windows feed each shard's
+        // calibration with its own clock.
+        let mut parts = Vec::with_capacity(n);
+        for (i, (s, o)) in self.shards.iter().zip(outcomes).enumerate() {
             let attributed = pools[i].take_attributed(qid);
             let shard_io = pools[i].counters().since(&before[i]);
             let shard_device = match (&o.fallback_device, &o.plan) {
@@ -807,44 +767,27 @@ impl ShardedDb {
                 // Skipped: an empty window — the shard was never opened.
                 (None, None) => attributed,
             };
-            let mut span = TraceSpan::label_only(format!("shard{i}: {}", o.label), 1);
-            span.stats = Some(upi::CursorStats {
+            parts.push(ShardPart {
+                label: o.label,
                 rows: emitted[i],
-                ..Default::default()
+                io: Some(shard_io),
+                device: Some(shard_device),
+                est_ms: o.plan.map(|p| p.candidates[0].cost.device_ms()),
+                degraded: pools[i].degraded(),
+                skipped: o.skipped,
             });
-            span.demand_pages = Some(shard_io.demand_pages());
-            span.prefetch_pages = Some(shard_io.sequential_pages());
-            span.device_ms = Some(shard_device.total_ms());
-            if let Some(plan) = &o.plan {
-                span.est_ms = Some(plan.candidates[0].cost.device_ms());
-            }
-            spans.push(span);
-            io = io.merged(&shard_io);
-            latency_ms = latency_ms.max(shard_device.total_ms());
-            device = device.merged(&shard_device);
-            if degraded.is_none() {
-                degraded = pools[i].degraded();
-            }
         }
-        spans[0].device_ms = Some(device.total_ms());
-        spans[0].end_ms = device.total_ms();
-        spans[0].stats = Some(upi::CursorStats {
-            rows: rows.len() as u64,
-            ..Default::default()
-        });
-        Ok(QueryOutput {
-            rows,
-            groups: None,
-            io: Some(io),
-            device: Some(device),
-            latency_ms: Some(latency_ms),
-            trace: Some(QueryTrace {
+        Ok(self.gather(
+            format!("ShardMerge(k={k})"),
+            QueryTrace {
                 query_id: qid.0,
                 path: format!("ShardMerge({n} shards)"),
-                spans,
-            }),
-            degraded,
-        })
+                spans: Vec::new(),
+            },
+            parts,
+            rows,
+            None,
+        ))
     }
 
     /// The general path: scatter the whole query to every shard **in
@@ -856,17 +799,9 @@ impl ShardedDb {
     /// all sit below `qt`, contributing neither rows nor group counts).
     fn scatter_whole(&self, q: &PtqQuery) -> Result<QueryOutput, QueryError> {
         let n = self.shards.len();
-        let skip: Vec<Option<f64>> = match &q.predicate {
-            Predicate::Eq { attr, value }
-                if *attr == self.primary_attr() && self.prune.load(Ordering::Relaxed) =>
-            {
-                self.stats
-                    .iter()
-                    .map(|st| {
-                        let b = st.bound(*value);
-                        (b < q.qt).then_some(b)
-                    })
-                    .collect()
+        let skips = match &q.predicate {
+            Predicate::Eq { attr, value } if *attr == self.primary_attr() => {
+                self.static_skips(*value, q.qt)
             }
             _ => vec![None; n],
         };
@@ -874,14 +809,8 @@ impl ShardedDb {
             let handles: Vec<_> = self
                 .shards
                 .iter()
-                .zip(&skip)
-                .map(|(s, sk)| {
-                    if sk.is_some() {
-                        None
-                    } else {
-                        Some(scope.spawn(move || s.query(q)))
-                    }
-                })
+                .zip(&skips)
+                .map(|(s, skip)| skip.is_none().then(|| scope.spawn(move || s.query(q))))
                 .collect();
             handles
                 .into_iter()
@@ -890,88 +819,134 @@ impl ShardedDb {
         });
         let mut rows: Vec<PtqResult> = Vec::new();
         let mut groups: Option<std::collections::BTreeMap<u64, u64>> = None;
-        let mut io = PoolCounters::default();
-        let mut device = IoStats::default();
-        let mut latency_ms = 0.0f64;
-        let mut degraded = None;
-        let mut spans = vec![TraceSpan::label_only(
-            format!("ShardScatter({n} shards)"),
-            0,
-        )];
-        for (i, result) in results.into_iter().enumerate() {
+        let mut parts = Vec::with_capacity(n);
+        for (result, skip) in results.into_iter().zip(skips) {
             let Some(result) = result else {
-                self.skipped.fetch_add(1, Ordering::Relaxed);
-                self.shards[i].note_shard_skip();
-                let mut span = TraceSpan::label_only(
-                    format!(
-                        "shard{i}: skipped (bound {:.3} < qt {:.3})",
-                        skip[i].unwrap_or(0.0),
-                        q.qt
-                    ),
-                    1,
-                );
-                span.device_ms = Some(0.0);
-                span.stats = Some(upi::CursorStats::default());
-                spans.push(span);
+                parts.push(ShardPart {
+                    label: skip.unwrap_or_default(),
+                    rows: 0,
+                    io: None,
+                    device: Some(IoStats::default()),
+                    est_ms: None,
+                    degraded: None,
+                    skipped: true,
+                });
                 continue;
             };
             let out = result?;
-            let mut span = TraceSpan::label_only(
-                format!(
-                    "shard{i}: {}",
-                    out.trace.as_ref().map(|t| t.path.as_str()).unwrap_or("?")
-                ),
-                1,
-            );
-            if let Some(io_i) = &out.io {
-                io = io.merged(io_i);
-                span.demand_pages = Some(io_i.demand_pages());
-                span.prefetch_pages = Some(io_i.sequential_pages());
-            }
-            if let Some(d) = &out.device {
-                device = device.merged(d);
-                latency_ms = latency_ms.max(d.total_ms());
-                span.device_ms = Some(d.total_ms());
-            }
-            if degraded.is_none() {
-                degraded = out.degraded;
-            }
             if let Some(g) = out.groups {
                 let acc = groups.get_or_insert_with(Default::default);
                 for (key, count) in g {
                     *acc.entry(key).or_insert(0) += count;
                 }
             }
-            span.stats = Some(upi::CursorStats {
+            parts.push(ShardPart {
+                label: out.trace.map_or_else(|| "?".to_string(), |t| t.path),
                 rows: out.rows.len() as u64,
-                ..Default::default()
+                io: out.io,
+                device: out.device,
+                est_ms: None,
+                degraded: out.degraded,
+                skipped: false,
             });
             rows.extend(out.rows);
-            spans.push(span);
         }
         upi::sort_results(&mut rows);
         if let Some(k) = q.top_k {
             rows.truncate(k);
         }
-        spans[0].stats = Some(upi::CursorStats {
+        let root = format!("ShardScatter({n} shards)");
+        let trace = QueryTrace {
+            query_id: 0,
+            path: root.clone(),
+            spans: Vec::new(),
+        };
+        Ok(self.gather(
+            root,
+            trace,
+            parts,
+            rows,
+            groups.map(|g| g.into_iter().collect()),
+        ))
+    }
+
+    /// Static pruning for an `Eq`-on-primary scatter, decided before any
+    /// worker starts so it is deterministic: shard `i` is skipped (with
+    /// the span label returned here) when its per-value bound cannot
+    /// reach `qt`. Qualifying rows have confidence >= qt, so only a
+    /// *strictly* lower bound may skip.
+    fn static_skips(&self, value: u64, qt: f64) -> Vec<Option<String>> {
+        let prune = self.prune.load(Ordering::Relaxed);
+        self.stats
+            .iter()
+            .map(|st| {
+                let bound = st.bound(value);
+                (prune && bound < qt).then(|| format!("skipped (bound {bound:.3} < qt {qt:.3})"))
+            })
+            .collect()
+    }
+
+    /// The gather both scatters finish with: count the skipped shards,
+    /// give every shard a child span under a `root` span, and total the
+    /// shards' pool counters and device windows. The device sum is the
+    /// query's device view; the max over shard windows is its parallel
+    /// latency. `trace` arrives with its id and path and leaves with the
+    /// spans.
+    fn gather(
+        &self,
+        root: String,
+        mut trace: QueryTrace,
+        parts: Vec<ShardPart>,
+        rows: Vec<PtqResult>,
+        groups: Option<Vec<(u64, u64)>>,
+    ) -> QueryOutput {
+        let mut io = PoolCounters::default();
+        let mut device = IoStats::default();
+        let mut latency_ms = 0.0f64;
+        let mut degraded = None;
+        trace.spans.push(TraceSpan::label_only(root, 0));
+        for (i, (s, part)) in self.shards.iter().zip(parts).enumerate() {
+            if part.skipped {
+                self.skipped.fetch_add(1, Ordering::Relaxed);
+                s.note_shard_skip();
+            }
+            let mut span = TraceSpan::label_only(format!("shard{i}: {}", part.label), 1);
+            span.stats = Some(upi::CursorStats {
+                rows: part.rows,
+                ..Default::default()
+            });
+            if let Some(shard_io) = &part.io {
+                span.demand_pages = Some(shard_io.demand_pages());
+                span.prefetch_pages = Some(shard_io.sequential_pages());
+                io = io.merged(shard_io);
+            }
+            if let Some(d) = &part.device {
+                span.device_ms = Some(d.total_ms());
+                latency_ms = latency_ms.max(d.total_ms());
+                device = device.merged(d);
+            }
+            span.est_ms = part.est_ms;
+            trace.spans.push(span);
+            if degraded.is_none() {
+                degraded = part.degraded;
+            }
+        }
+        let top = &mut trace.spans[0];
+        top.device_ms = Some(device.total_ms());
+        top.end_ms = device.total_ms();
+        top.stats = Some(upi::CursorStats {
             rows: rows.len() as u64,
             ..Default::default()
         });
-        spans[0].device_ms = Some(device.total_ms());
-        spans[0].end_ms = device.total_ms();
-        Ok(QueryOutput {
+        QueryOutput {
             rows,
-            groups: groups.map(|g| g.into_iter().collect()),
+            groups,
             io: Some(io),
             device: Some(device),
             latency_ms: Some(latency_ms),
-            trace: Some(QueryTrace {
-                query_id: 0,
-                path: format!("ShardScatter({n} shards)"),
-                spans,
-            }),
+            trace: Some(trace),
             degraded,
-        })
+        }
     }
 }
 
@@ -1124,17 +1099,109 @@ mod tests {
         }
     }
 
+    fn dml_layouts() -> [TableLayout; 3] {
+        [
+            TableLayout::Upi(UpiConfig::default()),
+            TableLayout::FracturedUpi(FracturedConfig {
+                upi: UpiConfig::default(),
+                buffer_ops: 0,
+            }),
+            TableLayout::Unclustered,
+        ]
+    }
+
+    /// Builds a durable 3-shard table, bulk-loads 40 rows, inserts 20,
+    /// deletes one, flushes, merges and syncs the WAL. Returns the table
+    /// and its live tuple ids.
+    fn routed_dml(
+        sts: Vec<Store>,
+        table_layout: TableLayout,
+        routing: &ShardLayout,
+    ) -> (ShardedDb, Vec<TupleId>) {
+        let mut sharded =
+            ShardedDb::create(sts, "d", schema(), 1, table_layout, routing.clone()).unwrap();
+        sharded.enable_durability().unwrap();
+        let preload: Vec<Tuple> = (0..40u64)
+            .map(|i| Tuple::new(TupleId(i), 0.9, row(i % 5, 0.7, i % 3)))
+            .collect();
+        sharded.load(&preload).unwrap();
+        for i in 0..20u64 {
+            let id = sharded.insert(0.9, row(i % 5, 0.7, i % 3)).unwrap();
+            assert_eq!(id.0, 40 + i, "the global id sequence continues past load");
+        }
+        sharded.delete(&preload[7]).unwrap();
+        sharded.flush().unwrap();
+        sharded.merge().unwrap();
+        sharded.sync_wal().unwrap();
+        let live: Vec<TupleId> = sharded
+            .live_tuples()
+            .unwrap()
+            .iter()
+            .map(|t| t.id)
+            .collect();
+        assert_eq!(live.len(), 59, "60 inserted - 1 deleted");
+        (sharded, live)
+    }
+
+    /// Every shard is non-empty and holds only the ids routed to it.
+    fn assert_partitioned(sharded: &ShardedDb, routing: &ShardLayout) {
+        for (i, s) in sharded.shards().iter().enumerate() {
+            let live = s.table().live_tuples().unwrap();
+            assert!(!live.is_empty(), "shard {i} is empty");
+            for t in live {
+                assert_eq!(routing.route(t.id.0), i, "misrouted {:?}", t.id);
+            }
+        }
+    }
+
+    /// DML routes by tuple id and the global id sequence continues past
+    /// a bulk load, so the shards partition the table.
+    #[test]
+    fn dml_routes_by_id_and_shards_partition_the_table() {
+        for table_layout in dml_layouts() {
+            let routing = ShardLayout::HashTid(3);
+            let (sharded, _) = routed_dml(stores(3), table_layout, &routing);
+            assert_partitioned(&sharded, &routing);
+        }
+    }
+
+    /// Every shard recovers exactly its own partition from its own WAL.
+    #[test]
+    fn per_shard_durability_recovers_the_partition() {
+        for table_layout in dml_layouts() {
+            let sts = stores(3);
+            let routing = ShardLayout::HashTid(3);
+            let (sharded, expect) = routed_dml(sts.clone(), table_layout, &routing);
+            drop(sharded);
+
+            let (recovered, _) = ShardedDb::recover(sts, "d", routing.clone()).unwrap();
+            let got: Vec<TupleId> = recovered
+                .live_tuples()
+                .unwrap()
+                .iter()
+                .map(|t| t.id)
+                .collect();
+            assert_eq!(got, expect);
+            assert_partitioned(&recovered, &routing);
+        }
+    }
+
+    /// Inserts route by range onto their shard, a delete removes the row
+    /// from its shard, and recovery rebuilds the same split.
     #[test]
     fn dml_routes_and_recovers_per_shard() {
+        let sts = stores(2);
+        let routing = ShardLayout::RangeTid(vec![50]);
         let mut sharded = ShardedDb::create(
-            stores(2),
+            sts.clone(),
             "d",
             schema(),
             1,
             TableLayout::Upi(UpiConfig::default()),
-            ShardLayout::RangeTid(vec![50]),
+            routing.clone(),
         )
         .unwrap();
+        sharded.enable_durability().unwrap();
         for i in 0..80u64 {
             sharded.insert(0.9, row(i % 5, 0.6, i % 2)).unwrap();
         }
@@ -1144,6 +1211,113 @@ mod tests {
         sharded.delete(&victim).unwrap();
         assert_eq!(sharded.live_tuples().unwrap().len(), 79);
         assert_eq!(sharded.shards()[0].table().live_tuples().unwrap().len(), 49);
+        sharded.sync_wal().unwrap();
+        drop(sharded);
+
+        let (recovered, _) = ShardedDb::recover(sts, "d", routing).unwrap();
+        assert_eq!(recovered.live_tuples().unwrap().len(), 79);
+        assert_eq!(
+            recovered.shards()[0].table().live_tuples().unwrap().len(),
+            49
+        );
+        assert_eq!(
+            recovered.shards()[1].table().live_tuples().unwrap().len(),
+            30
+        );
+    }
+
+    #[test]
+    fn per_shard_stats_follow_load_and_insert_routing() {
+        let mut sharded = ShardedDb::create(
+            stores(2),
+            "st",
+            schema(),
+            1,
+            TableLayout::Upi(UpiConfig::default()),
+            ShardLayout::RangeTid(vec![10]),
+        )
+        .unwrap();
+        sharded
+            .load(&[Tuple::new(TupleId(1), 1.0, row(3, 0.8, 0))])
+            .unwrap();
+        sharded
+            .insert_tuple(&Tuple::new(TupleId(20), 1.0, row(4, 0.9, 0)))
+            .unwrap();
+        // Shard 0 saw only value 3; shard 1 only value 4.
+        let st = sharded.stats();
+        assert!(st[0].bound(3) >= 0.8);
+        assert!(st[0].bound(4) < 0.5);
+        assert!(st[1].bound(4) >= 0.9);
+        assert!(st[1].bound(3) < 0.5);
+        let id = sharded.insert(1.0, row(5, 0.7, 0)).unwrap();
+        assert_eq!(id.0, 21, "the id horizon continues past the routed ids");
+    }
+
+    #[test]
+    fn merge_tightens_stats_so_a_cooled_shard_prunes_again() {
+        let mut sharded = ShardedDb::create(
+            stores(2),
+            "cool",
+            schema(),
+            1,
+            TableLayout::FracturedUpi(FracturedConfig {
+                upi: UpiConfig::default(),
+                buffer_ops: 0,
+            }),
+            ShardLayout::RangeTid(vec![100]),
+        )
+        .unwrap();
+        // Shard 0 keeps a live row for value 7; shard 1's only row for it
+        // is the hot one deleted below.
+        let warm = Tuple::new(TupleId(1), 1.0, row(7, 0.6, 0));
+        sharded.load(std::slice::from_ref(&warm)).unwrap();
+        let hot = Tuple::new(TupleId(200), 1.0, row(7, 0.95, 0));
+        sharded.insert_tuple(&hot).unwrap();
+        assert!(sharded.stats()[1].bound(7) >= 0.95);
+
+        // The raise-only sketch keeps the deleted row's bound (sound but
+        // slack), so the shard still looks hot.
+        sharded.delete(&hot).unwrap();
+        assert!(
+            sharded.stats()[1].bound(7) >= 0.95,
+            "DML maintenance is raise-only"
+        );
+
+        // The merge visits every live tuple and rebuilds the sketch.
+        sharded.merge().unwrap();
+        assert!(
+            sharded.stats()[1].bound(7) < 0.5,
+            "bound stayed {} after merge",
+            sharded.stats()[1].bound(7)
+        );
+        assert!(sharded.stats()[0].bound(7) >= 0.6);
+
+        // A pruned `Eq` query skips the cooled shard and reads nothing
+        // there.
+        let reads_before = sharded.shards()[1].table().store().disk.stats();
+        let rows = sharded.ptq(7, 0.5).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].tuple.id, warm.id);
+        assert_eq!(sharded.shards_skipped(), 1);
+        assert_eq!(sharded.shards()[1].metrics().shards_skipped, 1);
+        let delta = sharded.shards()[1]
+            .table()
+            .store()
+            .disk
+            .stats()
+            .since(&reads_before);
+        assert_eq!(delta.page_reads, 0, "a pruned shard reads zero pages");
+    }
+
+    #[test]
+    fn unknown_secondary_index_is_rejected() {
+        let (sharded, _) = filled(2, TableLayout::Upi(UpiConfig::default()), 0);
+        match sharded.ptq_secondary(1, 1, 0.3) {
+            Err(QueryError::Plan(crate::error::PlanError::InvalidQuery { reason })) => {
+                assert!(reason.contains("out of range"), "{reason}")
+            }
+            other => panic!("expected InvalidQuery, got {other:?}"),
+        }
     }
 
     /// The old fast path `expect()`ed its way onto shards whose layout
@@ -1329,46 +1503,5 @@ mod tests {
         sharded.set_pruning(false);
         let whole_off = sharded.query(&PtqQuery::eq(1, 3).with_qt(0.5)).unwrap();
         assert_eq!(fingerprint(&whole.rows), fingerprint(&whole_off.rows));
-    }
-
-    /// A recovered facade must not hand out tuple ids it already used:
-    /// the horizon comes from the shard tables' `next_id`, which covers
-    /// deleted rows that a live-tuple scan would miss.
-    #[test]
-    fn recover_reseeds_the_id_horizon_past_deleted_rows() {
-        let sts = stores(2);
-        let mut sharded = ShardedDb::create(
-            sts.clone(),
-            "r",
-            schema(),
-            1,
-            TableLayout::Upi(UpiConfig::default()),
-            ShardLayout::HashTid(2),
-        )
-        .unwrap();
-        sharded.enable_durability().unwrap();
-        let mut last = TupleId(0);
-        for i in 0..20u64 {
-            last = sharded.insert(0.9, row(i % 5, 0.7, i % 2)).unwrap();
-        }
-        // Delete the highest-id row; a live-tuple rescan would now
-        // under-seed the horizon and re-issue `last.0`.
-        let victim = sharded
-            .live_tuples()
-            .unwrap()
-            .into_iter()
-            .find(|t| t.id == last)
-            .unwrap();
-        sharded.delete(&victim).unwrap();
-        sharded.sync_wal().unwrap();
-        drop(sharded);
-        let (mut recovered, _) = ShardedDb::recover(sts, "r", ShardLayout::HashTid(2)).unwrap();
-        let id = recovered.insert(0.9, row(1, 0.7, 0)).unwrap();
-        assert!(
-            id.0 > last.0,
-            "post-recovery insert reused id {} (deleted horizon was {})",
-            id.0,
-            last.0
-        );
     }
 }

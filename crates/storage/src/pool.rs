@@ -160,7 +160,7 @@ impl std::fmt::Display for PoolCounters {
 ///   switch that position into **run mode**: the next
 ///   [`DiskConfig::readahead_pages`](crate::DiskConfig::readahead_pages)
 ///   contiguous pages are prefetched in one batch while the head is
-///   already there. Up to [`MAX_TRACKED_RUNS`] runs are tracked
+///   already there. Up to `MAX_TRACKED_RUNS` runs are tracked
 ///   concurrently, so a k-way merge that interleaves reads across k
 ///   component files (a fractured UPI probe) keeps every component's run
 ///   streaming — a switch to another file no longer resets the detector.
@@ -168,7 +168,7 @@ impl std::fmt::Display for PoolCounters {
 ///   run can skip the detection latency entirely:
 ///   [`hint_run`](BufferPool::hint_run) arms read-ahead on the run's
 ///   **first** miss and sizes the window from the estimated run length
-///   (see [`AccessHint`]). Up to [`MAX_PENDING_HINTS`] hints may be
+///   (see [`AccessHint`]). Up to `MAX_PENDING_HINTS` hints may be
 ///   pending at once — one per component of a fracture-parallel plan —
 ///   each armed, discharged, or cleared
 ///   ([`clear_hint`](BufferPool::clear_hint)) independently of its
@@ -309,10 +309,10 @@ impl BufferPool {
     /// Arm a planner prefetch hint (see [`AccessHint`]): the next miss on
     /// `hint.start_page` triggers read-ahead immediately — no second
     /// adjacent miss required — with the window sized from
-    /// `hint.est_run_pages` (in batches of at most [`HINTED_BATCH_PAGES`])
+    /// `hint.est_run_pages` (in batches of at most `HINTED_BATCH_PAGES`)
     /// instead of the fixed `readahead_pages` window.
     ///
-    /// Up to [`MAX_PENDING_HINTS`] hints may be pending concurrently, one
+    /// Up to `MAX_PENDING_HINTS` hints may be pending concurrently, one
     /// per expected run — a fracture-parallel merge arms one per
     /// component — and each is consumed (or discharged) independently: a
     /// new hint for the same start page replaces the old one, and a hint

@@ -28,7 +28,7 @@ fn confidence(t: &Tuple, attr: usize, lo: u64, hi: u64, on_grid: bool) -> f64 {
 }
 
 /// Brute-force PTQ answer: `(tid, confidence)` of every `(tuple,
-/// on_grid)` whose [`confidence`] for `lo..=hi` of field `attr` is
+/// on_grid)` whose `confidence` for `lo..=hi` of field `attr` is
 /// positive and `≥ qt`, in canonical order (confidence descending, then
 /// tid ascending).
 pub fn oracle<'a>(
